@@ -6,16 +6,16 @@ verifies is an exact equality at finite depth or finite truncation.
 """
 
 from .coherent import (CoherentState, PairingSeries, af_relation_residual,
-                       af_state_value, build_X_truncated, coherent_from_step,
-                       eigen_residual, gram_matrices, indicator_state,
-                       leibnitz_residuals, pairing_series, phi_inverse,
-                       phi_map, renormalized_pairing, t_dagger, t_dagger_fock,
-                       t_op, t_op_fock, to_fock_truncated)
+                       af_state_value, build_X_truncated, eigen_residual,
+                       gram_matrices, indicator_state, leibnitz_residuals,
+                       pairing_series, phi_map, renormalized_pairing,
+                       t_dagger, t_dagger_fock, t_op, t_op_fock,
+                       to_fock_truncated)
 from .errors import (CapExceededError, InvalidDigitError, InvalidLetterError,
                      NotPrimeError, NotStabilizedError, OperatorParseError,
                      PadicCuntzError, SelfCheckError)
-from .fock import (FockVector, LambdaPoly, af_annihilate, af_create,
-                   annihilate_sum, fock_annihilate, fock_create, fock_inner,
+from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
+                   fock_annihilate, fock_create, fock_inner,
                    fock_inner_by_length)
 from .representation import (OperatorWord, apply_annihilation, apply_creation,
                              apply_operator_word, creation_chain,

@@ -86,10 +86,15 @@ def _load_input(args) -> StepFunction:
         return make_indicator(word_to_center(args.p, word, args.convention))
     if args.input == "one":
         return StepFunction.constant(args.p, 1)
-    if args.input == "-":
-        return StepFunction.from_json(json.load(sys.stdin))
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return StepFunction.from_json(json.load(fh))
+    try:
+        if args.input == "-":
+            return StepFunction.from_json(json.load(sys.stdin))
+        with open(args.input, "r", encoding="utf-8") as fh:
+            return StepFunction.from_json(json.load(fh))
+    except (ValueError, KeyError, TypeError) as exc:  # JSON errors too
+        raise PadicCuntzError(
+            f"--input {args.input} is not a step function in JSON "
+            f"({type(exc).__name__}: {exc})") from None
 
 
 def cmd_verify(args) -> int:

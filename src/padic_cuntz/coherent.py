@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (CapExceededError, NotStabilizedError, SelfCheckError)
-from .fock import (FockVector, LambdaPoly, af_annihilate, af_create,
-                   annihilate_sum, fock_create, fock_inner_by_length)
+from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
+                   fock_create, fock_inner_by_length)
 from .representation import apply_annihilation, apply_creation
 from .scalars import Q, Scalar, validate_prime
 from .stepfunctions import (VALUE_CAP, StepFunction, _check_cap,
@@ -127,18 +127,9 @@ class CoherentState:
         return cls(StepFunction.from_json(data))
 
 
-def coherent_from_step(f: StepFunction) -> CoherentState:
-    """Every test function generates a finite-type free coherent state."""
-    return CoherentState(f)
-
-
 def phi_map(s: CoherentState) -> StepFunction:
     """The isomorphism onto test functions: a finite-type state ↦ its generator."""
     return s.generator
-
-
-def phi_inverse(f: StepFunction) -> CoherentState:
-    return coherent_from_step(f)
 
 
 def indicator_state(p: int, I: Word) -> CoherentState:
@@ -156,10 +147,10 @@ def to_fock_truncated(s: CoherentState, N: int,
     if count_words_up_to(p, N) > cap:
         raise CapExceededError(
             f"{count_words_up_to(p, N)} words at truncation {N} exceeds cap")
-    terms: dict[Word, LambdaPoly] = {}
+    terms: dict[Word, tuple[int, Scalar]] = {}
     for k in range(N + 1):
         for w, psi in s.coefficients_of_length(k).items():
-            terms[w] = LambdaPoly.monomial(p, k, psi)
+            terms[w] = (k, psi)
     return FockVector._raw(p, terms, N, 0)
 
 
@@ -182,8 +173,8 @@ def build_X_truncated(p: int, I: Word, N: int,
     Sums λ^k(p^{−1}ΣA†_i)^k on top of λ^{|I|}A†_IΩ for k ≤ N−|I|, plus the
     annihilator tail λ^{−l}(ΣA_i)^l λ^{|I|}A†_IΩ for l = 1..|I| (total λ
     exponent |I|−l ≥ 0).  The result is cross-checked word by word against
-    the generator-derived coefficients of ``indicator_state``; any
-    disagreement raises SelfCheckError.
+    ``to_fock_truncated(indicator_state(p, I), N)``, the generator-derived
+    coefficients; any disagreement raises SelfCheckError.
     """
     validate_prime(p)
     I = validate_word(I, p)
@@ -191,9 +182,7 @@ def build_X_truncated(p: int, I: Word, N: int,
         raise ValueError(f"truncation {N} below word length {len(I)}")
     if count_words_up_to(p, N) > cap:
         raise CapExceededError(f"truncation {N} exceeds cap at p={p}")
-    one = Scalar.one(p)
-    seed = FockVector(p, {I: LambdaPoly.monomial(p, len(I), one)},
-                      truncation=N)
+    seed = FockVector(p, {I: (len(I), Scalar.one(p))}, truncation=N)
     total = seed
     inv_p = Scalar.rational(p, Q(1, p))
     cur = seed
@@ -208,12 +197,7 @@ def build_X_truncated(p: int, I: Word, N: int,
         cur = annihilate_sum(cur).shift_lambda(-1)
         total = total + cur
 
-    expected: dict[Word, LambdaPoly] = {}
-    oracle = indicator_state(p, I)
-    for k in range(N + 1):
-        for w, psi in oracle.coefficients_of_length(k).items():
-            expected[w] = LambdaPoly.monomial(p, k, psi)
-    if total.terms != expected:
+    if total != to_fock_truncated(indicator_state(p, I), N, cap):
         raise SelfCheckError(
             f"expansion of X_{I} disagrees with generator coefficients")
     return total
@@ -326,8 +310,7 @@ def t_dagger_fock(i: int, s: CoherentState, N: int) -> FockVector:
     p = s.p
     base = to_fock_truncated(s, N - 1).with_truncation(N)
     created = af_create(i, base).shift_lambda(1)
-    omega = FockVector(
-        p, {(): LambdaPoly.constant(p, s.vacuum_coefficient())}, N)
+    omega = FockVector(p, {(): (0, s.vacuum_coefficient())}, N)
     return (created + omega).scale(Scalar.root_p_power(p, -1))
 
 
@@ -351,9 +334,8 @@ def leibnitz_residuals(s: CoherentState, N: int) -> list[FockVector]:
         raise ValueError("truncation must be at least 1")
     p = s.p
     v = to_fock_truncated(s, N)
-    psi0 = s.vacuum_coefficient()
     residuals = [annihilate_sum(v) - v.shift_lambda(1)]
-    omega_term = FockVector(p, {(): LambdaPoly.constant(p, psi0)}, N)
+    omega_term = FockVector(p, {(): (0, s.vacuum_coefficient())}, N)
     for j in range(p):
         applied = af_create(j, v)  # A†_Φ on the basis word (j)
         lhs = annihilate_sum(applied)
@@ -384,9 +366,10 @@ def af_state_value(p: int, I: Word, J: Word, N: int | None = None,
     if not by_len:
         raise NotStabilizedError(
             f"empty pairing series at N={N}; need N ≥ {needed}")
-    top = max(by_len)
-    zero = LambdaPoly.zero(p)
-    terms = [by_len.get(m, zero).eval_root_p() for m in range(top + 1)]
+    # each length's λ-polynomial at λ = √p: Σ c·p^{n/2}
+    terms = [sum((c.mul_root_p_power(n)
+                  for n, c in by_len.get(m, {}).items()), Scalar.zero(p))
+             for m in range(max(by_len) + 1)]
     try:
         _, value = _stabilize(terms, "antifock state series")
     except NotStabilizedError:
@@ -411,8 +394,8 @@ def af_relation_residual(i: int, s: CoherentState,
     inv_root = Scalar.root_p_power(p, -1)
     first = (to_fock_truncated(t_dagger(i, s), N)
              - af_create(i, v).shift_lambda(1).scale(inv_root)
-             - FockVector(p, {(): LambdaPoly.constant(
-                 p, s.vacuum_coefficient() * inv_root)}, N))
+             - FockVector(p, {(): (0, s.vacuum_coefficient() * inv_root)},
+                          N))
     second = (to_fock_truncated(t_op(i, s), N).shift_lambda(1)
               - af_annihilate(i, v).scale(Scalar.root_p_power(p, 1)))
     return first, second

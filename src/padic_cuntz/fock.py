@@ -1,9 +1,12 @@
 """Truncated free (Boltzmann) Fock space over p letters.
 
-Basis words are tuples of letters (orthonormal); coefficients are
-polynomials in the formal eigenvalue parameter λ over the exact scalar
-field.  λ stays formal everywhere — the pairing limits evaluate monomials
-at λ = √p only at the very end, inside Q(√p).
+Basis words are tuples of letters (orthonormal).  A coherent-state
+expansion Σ_I λ^{|I|} Ψ_I A†_I Ω puts one power of the formal eigenvalue
+parameter λ on each word, so a vector stores each word's coefficient as
+one λ-monomial: the pair (n, c) reads c·λ^n with c a nonzero exact scalar.
+Inner products are true polynomials in λ and come back as plain
+{exponent: Scalar} dicts.  λ stays formal everywhere — the pairing limits
+evaluate at λ = √p only at the very end, inside Q(√p).
 
 Two ladder pairs act on words:
 
@@ -20,136 +23,37 @@ assertion targets, so they are data, not errors).
 
 from __future__ import annotations
 
-from .errors import InvalidLetterError
+from .errors import InvalidLetterError, SelfCheckError
 from .scalars import Scalar, validate_prime
-from .words import Word, check_letter, word_str
-
-_EXP_KEY_ERR = "λ exponents must be nonnegative integers"
+from .words import Word, check_letter, parse_word, word_str
 
 
-class LambdaPoly:
-    """Polynomial in λ with Scalar coefficients; no stored zeros."""
+def _merge(out: dict, items, negate: bool = False) -> dict:
+    """Add (or subtract) word → (n, c) items into ``out`` in place.
 
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs: dict[int, Scalar] | None = None):
-        self.p = p
-        cleaned: dict[int, Scalar] = {}
-        for n, c in (coeffs or {}).items():
-            if not isinstance(n, int) or n < 0:
-                raise ValueError(_EXP_KEY_ERR)
-            if not c.is_zero():
-                cleaned[n] = c
-        self.coeffs = cleaned
-
-    @classmethod
-    def _raw(cls, p: int, coeffs: dict[int, Scalar]) -> "LambdaPoly":
-        poly = object.__new__(cls)
-        poly.p = p
-        poly.coeffs = coeffs
-        return poly
-
-    @classmethod
-    def zero(cls, p: int) -> "LambdaPoly":
-        return cls._raw(p, {})
-
-    @classmethod
-    def constant(cls, p: int, c: Scalar) -> "LambdaPoly":
-        return cls._raw(p, {} if c.is_zero() else {0: c})
-
-    @classmethod
-    def monomial(cls, p: int, exp: int, c: Scalar) -> "LambdaPoly":
-        if exp < 0:
-            raise ValueError(_EXP_KEY_ERR)
-        return cls._raw(p, {} if c.is_zero() else {exp: c})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            cur = out.get(n)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
-        return LambdaPoly._raw(self.p, out)
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly._raw(self.p, {n: -c for n, c in self.coeffs.items()})
-
-    def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out: dict[int, Scalar] = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                n = n1 + n2
-                prod = c1 * c2
-                cur = out.get(n)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    out.pop(n, None)
-                else:
-                    out[n] = s
-        return LambdaPoly._raw(self.p, out)
-
-    def scale(self, c: Scalar) -> "LambdaPoly":
-        if c.is_zero():
-            return LambdaPoly.zero(self.p)
-        return LambdaPoly._raw(self.p,
-                               {n: v * c for n, v in self.coeffs.items()})
-
-    def shift(self, k: int) -> "LambdaPoly":
-        """Multiply by λ^k (k may be negative if no exponent drops below 0)."""
-        if not self.coeffs:
-            return self
-        if k == 0:
-            return self
-        if k < 0 and min(self.coeffs) + k < 0:
-            raise ValueError("λ shift would create a negative exponent")
-        return LambdaPoly._raw(self.p,
-                               {n + k: c for n, c in self.coeffs.items()})
-
-    def conjugate(self) -> "LambdaPoly":
-        """λ is a real formal parameter: conjugate coefficients only."""
-        return LambdaPoly._raw(
-            self.p, {n: c.conjugate() for n, c in self.coeffs.items()})
-
-    def eval_root_p(self) -> Scalar:
-        """Exact value at λ = √p (each λ^n becomes p^{n/2} in Q(√p))."""
-        total = Scalar.zero(self.p)
-        for n, c in self.coeffs.items():
-            total = total + c.mul_root_p_power(n)
-        return total
-
-    def coefficient(self, exp: int) -> Scalar:
-        return self.coeffs.get(exp, Scalar.zero(self.p))
-
-    def __eq__(self, other):
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "<λ-poly 0>"
-        terms = [f"λ^{n}·({c.pretty()})" for n, c in sorted(self.coeffs.items())]
-        return f"<λ-poly {' + '.join(terms)}>"
-
-    def to_json(self) -> dict:
-        return {str(n): c.to_json() for n, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, p: int, data: dict) -> "LambdaPoly":
-        return cls(p, {int(n): Scalar.from_json(p, c) for n, c in data.items()})
+    A word holds one power of λ, so coefficients on the same word add only
+    when their exponents match; two different powers mean the identity
+    being checked is wrong, and raise SelfCheckError.
+    """
+    for w, (n, c) in items:
+        cur = out.get(w)
+        if cur is None:
+            out[w] = (n, -c if negate else c)
+            continue
+        if cur[0] != n:
+            raise SelfCheckError(
+                f"word {word_str(w)!r} would carry both λ^{cur[0]} and λ^{n}")
+        s = cur[1] - c if negate else cur[1] + c
+        if s.is_zero():
+            del out[w]
+        else:
+            out[w] = (n, s)
+    return out
 
 
 class FockVector:
-    """Finite-support map word → λ-polynomial, with optional truncation.
+    """Finite-support map word → (λ-exponent, nonzero Scalar), with an
+    optional truncation.
 
     ``truncation`` is the maximum word length kept by creation operators;
     ``spilled`` counts words dropped at that boundary so far.  Equality
@@ -158,18 +62,21 @@ class FockVector:
 
     __slots__ = ("p", "terms", "truncation", "spilled")
 
-    def __init__(self, p: int, terms: dict[Word, LambdaPoly] | None = None,
+    def __init__(self, p: int,
+                 terms: dict[Word, tuple[int, Scalar]] | None = None,
                  truncation: int | None = None, spilled: int = 0):
         validate_prime(p)
-        cleaned: dict[Word, LambdaPoly] = {}
-        for w, poly in (terms or {}).items():
+        cleaned: dict[Word, tuple[int, Scalar]] = {}
+        for w, (n, c) in (terms or {}).items():
             w = tuple(w)
             for d in w:
                 if not 0 <= d < p:
                     raise InvalidLetterError(
                         f"letter {d!r} out of range [0, {p})")
-            if not poly.is_zero():
-                cleaned[w] = poly
+            if not isinstance(n, int) or n < 0:
+                raise ValueError("λ exponents must be nonnegative integers")
+            if not c.is_zero():
+                cleaned[w] = (n, c)
         self.p = p
         self.terms = cleaned
         self.truncation = truncation
@@ -191,17 +98,16 @@ class FockVector:
     @classmethod
     def vacuum(cls, p: int, truncation: int | None = None) -> "FockVector":
         """Ω: the empty word with coefficient 1."""
-        one = LambdaPoly.constant(p, Scalar.one(p))
-        return cls(p, {(): one}, truncation)
+        return cls.basis(p, (), truncation)
 
     @classmethod
     def basis(cls, p: int, word: Word,
               truncation: int | None = None) -> "FockVector":
-        one = LambdaPoly.constant(p, Scalar.one(p))
-        return cls(p, {tuple(word): one}, truncation)
+        return cls(p, {tuple(word): (0, Scalar.one(p))}, truncation)
 
-    def coefficient(self, word: Word) -> LambdaPoly:
-        return self.terms.get(tuple(word), LambdaPoly.zero(self.p))
+    def coefficient(self, word: Word) -> tuple[int, Scalar]:
+        """(n, c) with the word's coefficient c·λ^n; (0, 0) if absent."""
+        return self.terms.get(tuple(word), (0, Scalar.zero(self.p)))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -222,53 +128,39 @@ class FockVector:
 
     # -- linear structure --------------------------------------------------
 
-    def _merge_trunc(self, other: "FockVector") -> int | None:
-        if self.truncation is None:
-            return other.truncation
-        if other.truncation is None:
-            return self.truncation
-        return min(self.truncation, other.truncation)
+    def _combine(self, other: "FockVector", negate: bool) -> "FockVector":
+        if other.p != self.p:
+            raise ValueError("mixed primes in Fock sum")
+        trunc = min((t for t in (self.truncation, other.truncation)
+                     if t is not None), default=None)
+        out = _merge(dict(self.terms), other.terms.items(), negate)
+        return FockVector._raw(self.p, out, trunc,
+                               self.spilled + other.spilled)
 
     def __add__(self, other: "FockVector") -> "FockVector":
         if not isinstance(other, FockVector):
             return NotImplemented
-        if other.p != self.p:
-            raise ValueError("mixed primes in Fock sum")
-        out = dict(self.terms)
-        for w, poly in other.terms.items():
-            cur = out.get(w)
-            s = poly if cur is None else cur + poly
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return FockVector._raw(self.p, out, self._merge_trunc(other),
-                               self.spilled + other.spilled)
+        return self._combine(other, False)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
+        if not isinstance(other, FockVector):
+            return NotImplemented
+        return self._combine(other, True)
 
-    def __neg__(self) -> "FockVector":
-        return FockVector._raw(self.p, {w: -c for w, c in self.terms.items()},
-                               self.truncation, self.spilled)
-
-    def scale(self, factor) -> "FockVector":
-        """Scale by a Scalar or by a LambdaPoly (e.g. multiply by λ)."""
-        if isinstance(factor, Scalar):
-            factor = LambdaPoly.constant(self.p, factor)
-        if factor.is_zero():
+    def scale(self, c: Scalar) -> "FockVector":
+        """Multiply every coefficient by the Scalar c (λ: ``shift_lambda``)."""
+        if c.is_zero():
             return FockVector.zero(self.p, self.truncation)
-        out = {}
-        for w, poly in self.terms.items():
-            prod = poly * factor
-            if not prod.is_zero():
-                out[w] = prod
-        return FockVector._raw(self.p, out, self.truncation, self.spilled)
+        return FockVector._raw(
+            self.p, {w: (n, v * c) for w, (n, v) in self.terms.items()},
+            self.truncation, self.spilled)
 
     def shift_lambda(self, k: int) -> "FockVector":
-        return FockVector._raw(
-            self.p, {w: c.shift(k) for w, c in self.terms.items()},
-            self.truncation, self.spilled)
+        """Multiply by λ^k (k < 0 only if no exponent drops below 0)."""
+        out = {w: (n + k, c) for w, (n, c) in self.terms.items()}
+        if k < 0 and any(n < 0 for n, _ in out.values()):
+            raise ValueError("λ shift would create a negative exponent")
+        return FockVector._raw(self.p, out, self.truncation, self.spilled)
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
@@ -277,7 +169,8 @@ class FockVector:
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-        shown = ", ".join(f"'{word_str(w)}': {c!r}" for w, c in items[:6])
+        shown = ", ".join(f"'{word_str(w)}': λ^{n}·({c.pretty()})"
+                          for w, (n, c) in items[:6])
         if len(items) > 6:
             shown += ", …"
         return f"<FockVector p={self.p} {{{shown}}} spilled={self.spilled}>"
@@ -285,14 +178,20 @@ class FockVector:
     def to_json(self) -> dict:
         items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
         return {"p": self.p,
-                "terms": {word_str(w): poly.to_json() for w, poly in items}}
+                "terms": {word_str(w): {str(n): c.to_json()}
+                          for w, (n, c) in items}}
 
     @classmethod
     def from_json(cls, data: dict) -> "FockVector":
-        from .words import parse_word
         p = validate_prime(data["p"])
-        terms = {parse_word(w, p): LambdaPoly.from_json(p, poly)
-                 for w, poly in data["terms"].items()}
+        terms = {}
+        for key, poly in data["terms"].items():
+            if len(poly) > 1:
+                raise ValueError(
+                    f"word {key!r} has {len(poly)} λ-exponents "
+                    f"{sorted(poly)}; a Fock term is one monomial")
+            for n, c in poly.items():
+                terms[parse_word(key, p)] = (int(n), Scalar.from_json(p, c))
         return cls(p, terms)
 
 
@@ -301,10 +200,10 @@ def fock_create(i: int, v: FockVector) -> FockVector:
     check_letter(i, v.p)
     cap = v.truncation
     if cap is None:
-        out = {w + (i,): poly for w, poly in v.terms.items()}
+        out = {w + (i,): c for w, c in v.terms.items()}
         spilled = v.spilled
     else:
-        out = {w + (i,): poly for w, poly in v.terms.items() if len(w) < cap}
+        out = {w + (i,): c for w, c in v.terms.items() if len(w) < cap}
         spilled = v.spilled + len(v.terms) - len(out)
     return FockVector._raw(v.p, out, cap, spilled)
 
@@ -312,7 +211,7 @@ def fock_create(i: int, v: FockVector) -> FockVector:
 def fock_annihilate(i: int, v: FockVector) -> FockVector:
     """A_i: keep words whose last letter is i, stripped; Ω goes to 0."""
     check_letter(i, v.p)
-    out = {w[:-1]: poly for w, poly in v.terms.items() if w and w[-1] == i}
+    out = {w[:-1]: c for w, c in v.terms.items() if w and w[-1] == i}
     return FockVector._raw(v.p, out, v.truncation, v.spilled)
 
 
@@ -321,10 +220,10 @@ def af_create(i: int, v: FockVector) -> FockVector:
     check_letter(i, v.p)
     cap = v.truncation
     if cap is None:
-        out = {(i,) + w: poly for w, poly in v.terms.items()}
+        out = {(i,) + w: c for w, c in v.terms.items()}
         spilled = v.spilled
     else:
-        out = {(i,) + w: poly for w, poly in v.terms.items() if len(w) < cap}
+        out = {(i,) + w: c for w, c in v.terms.items() if len(w) < cap}
         spilled = v.spilled + len(v.terms) - len(out)
     return FockVector._raw(v.p, out, cap, spilled)
 
@@ -332,36 +231,29 @@ def af_create(i: int, v: FockVector) -> FockVector:
 def af_annihilate(i: int, v: FockVector) -> FockVector:
     """Right action of A_i: keep words whose first letter is i, stripped."""
     check_letter(i, v.p)
-    out = {w[1:]: poly for w, poly in v.terms.items() if w and w[0] == i}
+    out = {w[1:]: c for w, c in v.terms.items() if w and w[0] == i}
     return FockVector._raw(v.p, out, v.truncation, v.spilled)
 
 
 def annihilate_sum(v: FockVector) -> FockVector:
     """(Σ_i A_i)·v — every nonempty word stripped of its last letter."""
-    out: dict[Word, LambdaPoly] = {}
-    for w, poly in v.terms.items():
-        if not w:
-            continue
-        key = w[:-1]
-        cur = out.get(key)
-        s = poly if cur is None else cur + poly
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+    out = _merge({}, ((w[:-1], c) for w, c in v.terms.items() if w))
     return FockVector._raw(v.p, out, v.truncation, v.spilled)
 
 
-def fock_inner(v: FockVector, w: FockVector) -> LambdaPoly:
-    """⟨v, w⟩ = Σ_I conj(v_I)·w_I over the orthonormal word basis."""
-    total = LambdaPoly.zero(v.p)
-    for poly in fock_inner_by_length(v, w).values():
-        total = total + poly
-    return total
+def fock_inner(v: FockVector, w: FockVector) -> dict[int, Scalar]:
+    """⟨v, w⟩ = Σ_I conj(v_I)·w_I as a λ-polynomial {exponent: Scalar}."""
+    total: dict[int, Scalar] = {}
+    for coeffs in fock_inner_by_length(v, w).values():
+        for n, c in coeffs.items():
+            total[n] = total[n] + c if n in total else c
+    return {n: c for n, c in total.items() if not c.is_zero()}
 
 
-def fock_inner_by_length(v: FockVector, w: FockVector) -> dict[int, LambdaPoly]:
-    """Per-word-length contributions to ⟨v, w⟩ (for stabilization limits).
+def fock_inner_by_length(v: FockVector,
+                         w: FockVector) -> dict[int, dict[int, Scalar]]:
+    """Per-word-length contributions {length: {exponent: Scalar}} to ⟨v, w⟩
+    (for stabilization limits).
 
     Expansions share coefficient objects across words and the ladder
     operators move them without copying, so the products conj(c₁)·c₂ are
@@ -374,28 +266,23 @@ def fock_inner_by_length(v: FockVector, w: FockVector) -> dict[int, LambdaPoly]:
     small, large, conj_small = ((v, w, True) if len(v.terms) <= len(w.terms)
                                 else (w, v, False))
     tally: dict[tuple, list] = {}
-    for key, poly in small.terms.items():
+    for key, (n1, c1) in small.terms.items():
         other = large.terms.get(key)
         if other is None:
             continue
-        if conj_small:
-            left, right = poly.coeffs, other.coeffs
+        n2, c2 = other
+        if not conj_small:
+            c1, c2 = c2, c1
+        slot = (len(key), n1 + n2, id(c1), id(c2))
+        entry = tally.get(slot)
+        if entry is None:
+            tally[slot] = [c1, c2, 1]
         else:
-            left, right = other.coeffs, poly.coeffs
-        k = len(key)
-        for n1, c1 in left.items():
-            for n2, c2 in right.items():
-                slot = (k, n1 + n2, id(c1), id(c2))
-                entry = tally.get(slot)
-                if entry is None:
-                    tally[slot] = [c1, c2, 1]
-                else:
-                    entry[2] += 1
+            entry[2] += 1
     by_len: dict[int, dict[int, Scalar]] = {}
     for (k, n, _, _), (c1, c2, count) in tally.items():
         prod = (c1.conjugate() * c2).scale(count)
         coeffs = by_len.setdefault(k, {})
         coeffs[n] = coeffs[n] + prod if n in coeffs else prod
-    return {k: LambdaPoly._raw(v.p, {n: c for n, c in coeffs.items()
-                                     if not c.is_zero()})
+    return {k: {n: c for n, c in coeffs.items() if not c.is_zero()}
             for k, coeffs in by_len.items()}

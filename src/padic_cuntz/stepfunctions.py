@@ -222,12 +222,19 @@ class StepFunction:
     # -- equality (semantic: as functions on Z_p) ---------------------------
 
     def __eq__(self, other):
+        """Equal as functions on Z_p, without refining: over the deeper
+        operand's scale, each fibre raw[n::p^k] holds the shallower value."""
         if not isinstance(other, StepFunction):
             return NotImplemented
         if other.p != self.p:
             return False
-        _, _, a, b = self._aligned(other)
-        return a == b
+        if self.depth == other.depth and self.exp == other.exp:
+            return self.raw == other.raw
+        low, high = sorted((self, other), key=lambda f: f.depth)
+        vals = low._raw_at(high.exp)
+        m = len(vals)
+        return all(x == v for n, v in enumerate(vals)
+                   for x in high.raw[n::m])
 
     def __repr__(self):
         shown = ", ".join(v.mul_root_p_power(self.exp).pretty()

@@ -1,24 +1,25 @@
 """Seeded, reportable verification suites behind the CLI `verify` command.
 
 Each suite runs one family of exact identities and returns a SuiteReport;
-a case that fails lands in the report with its expected/actual rendering.
-Everything is deterministic for a fixed seed, and failures are the only
-thing that can make the process exit nonzero.
+a case that fails lands in the report with its expected/actual rendering,
+and so does a case whose self-check raised.  Everything is deterministic
+for a fixed seed, and failures are the only thing that can make the
+process exit nonzero.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .coherent import (CoherentState, af_relation_residual, af_state_value,
-                       build_X_truncated, coherent_from_step, eigen_residual,
-                       gram_matrices, indicator_state, leibnitz_residuals,
-                       pairing_series, phi_map, renormalized_pairing,
-                       t_dagger, t_dagger_fock, t_op, t_op_fock,
-                       to_fock_truncated)
-from .fock import LambdaPoly
+                       build_X_truncated, eigen_residual, gram_matrices,
+                       indicator_state, leibnitz_residuals, pairing_series,
+                       phi_map, renormalized_pairing, t_dagger, t_dagger_fock,
+                       t_op, t_op_fock, to_fock_truncated)
+from .errors import NotStabilizedError, SelfCheckError
 from .representation import (apply_annihilation, apply_creation,
                              cyclicity_basis, gns_state)
 from .scalars import Q, Scalar, validate_prime
@@ -45,6 +46,18 @@ class SuiteReport:
         if not ok:
             self.failures.append(
                 {"case": case_id, "expected": expected, "actual": actual})
+
+    @contextmanager
+    def guard(self, *case_ids: str):
+        """Run the checks of the named cases.  A self-check error inside
+        fails each of them not yet checked, with the error as ``actual``."""
+        done = self.cases
+        try:
+            yield
+        except (SelfCheckError, NotStabilizedError) as exc:
+            actual = f"{type(exc).__name__}: {exc}"
+            for case_id in case_ids[self.cases - done:]:
+                self.check(case_id, False, actual=actual)
 
     def ok(self) -> bool:
         return not self.failures
@@ -85,7 +98,7 @@ def random_depth(rng: random.Random, p: int, max_depth: int = 5) -> int:
 def random_coherent_state(rng: random.Random, p: int,
                           max_depth: int = 3) -> CoherentState:
     depth = rng.randint(0, max_depth)
-    return coherent_from_step(random_step_function(rng, p, depth))
+    return CoherentState(random_step_function(rng, p, depth))
 
 
 # -- suites -------------------------------------------------------------------
@@ -138,10 +151,12 @@ def suite_gns(p: int, depth: int = 4, sample: int = 10_000,
     small = list(words_up_to(p, exhaustive))
     for I in small:
         for J in small:
-            value = gns_state(p, I, J)   # raises SelfCheckError on mismatch
-            expected = Scalar.root_p_power(p, -(len(I) + len(J)))
-            report.check(f"state({word_str(I)!r},{word_str(J)!r})",
-                         value == expected, expected.pretty(), value.pretty())
+            case = f"state({word_str(I)!r},{word_str(J)!r})"
+            with report.guard(case):
+                value = gns_state(p, I, J)   # self-checking
+                expected = Scalar.root_p_power(p, -(len(I) + len(J)))
+                report.check(case, value == expected, expected.pretty(),
+                             value.pretty())
     if depth > exhaustive:
         boundary = list(words_of_length(p, depth))
         everything = list(words_up_to(p, depth))
@@ -150,10 +165,11 @@ def suite_gns(p: int, depth: int = 4, sample: int = 10_000,
             J = rng.choice(everything)
             if rng.random() < 0.5:
                 I, J = J, I
-            value = gns_state(p, I, J)
-            expected = Scalar.root_p_power(p, -(len(I) + len(J)))
-            report.check(f"state-sample[{n}]", value == expected,
-                         expected.pretty(), value.pretty())
+            with report.guard(f"state-sample[{n}]"):
+                value = gns_state(p, I, J)
+                expected = Scalar.root_p_power(p, -(len(I) + len(J)))
+                report.check(f"state-sample[{n}]", value == expected,
+                             expected.pretty(), value.pretty())
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -166,13 +182,20 @@ def suite_pairing(p: int, maxlen: int = 3, trunc: int = 6, cases: int = 25,
     report = SuiteReport("pairing", p, {"maxlen": maxlen, "trunc": trunc,
                                         "cases": cases, "seed": seed})
     start = time.perf_counter()
-    basis, ren, l2, equal, max_stab = gram_matrices(p, maxlen)
-    report.check("gram-equality", equal, "pairing Gram == L² Gram", "differ")
-    report.check("gram-stabilization", max_stab <= maxlen,
-                 f"index ≤ {maxlen}", f"index {max_stab}")
+    with report.guard("gram-equality", "gram-stabilization"):
+        basis, ren, l2, equal, max_stab = gram_matrices(p, maxlen)
+        report.check("gram-equality", equal, "pairing Gram == L² Gram",
+                     "differ")
+        report.check("gram-stabilization", max_stab <= maxlen,
+                     f"index ≤ {maxlen}", f"index {max_stab}")
+    one = Scalar.one(p)
     for I in words_up_to(p, min(maxlen, 3)):
-        build_X_truncated(p, I, trunc)   # self-checking
-        report.check(f"expansion({word_str(I)!r})", True)
+        case = f"expansion({word_str(I)!r})"
+        with report.guard(case):
+            # self-checking against the generator coefficients
+            v = build_X_truncated(p, I, trunc)
+            report.check(case, v.coefficient(I) == (len(I), one),
+                         "λ^|I|·1 on the word I", "differs")
     for n in range(cases):
         s = random_coherent_state(rng, p)
         for I in words_up_to(p, 2):
@@ -182,27 +205,25 @@ def suite_pairing(p: int, maxlen: int = 3, trunc: int = 6, cases: int = 25,
                 total = c if total is None else total + c
             report.check(f"cascade[{n}]({word_str(I)!r})",
                          s.coefficient(I) == total, "Ψ_I = ΣΨ_Ii", "differs")
-        r = eigen_residual(s, trunc)
-        short = [w for w in r.terms if len(w) < trunc]
-        report.check(f"eigen-short[{n}]", not short,
-                     "no residual below boundary", f"{len(short)} words")
-        for w, psi in s.coefficients_of_length(trunc).items():
-            want = LambdaPoly.monomial(p, trunc + 1, -psi)
-            if r.coefficient(w) != want:
-                report.check(f"eigen-boundary[{n}]", False,
-                             "−λ^{N+1}Ψ_J", "differs")
-                break
-        else:
-            report.check(f"eigen-boundary[{n}]", True)
+        with report.guard(f"eigen-short[{n}]", f"eigen-boundary[{n}]"):
+            r = eigen_residual(s, trunc)
+            short = [w for w in r.terms if len(w) < trunc]
+            report.check(f"eigen-short[{n}]", not short,
+                         "no residual below boundary", f"{len(short)} words")
+            boundary = all(r.coefficient(w) == (trunc + 1, -psi) for w, psi
+                           in s.coefficients_of_length(trunc).items())
+            report.check(f"eigen-boundary[{n}]", boundary,
+                         "−λ^{N+1}Ψ_J", "differs")
         t = random_coherent_state(rng, p)
-        lhs = renormalized_pairing(s, t)
-        rhs = phi_map(s).inner(phi_map(t))
-        report.check(f"pairing-vs-l2[{n}]", lhs == rhs,
-                     rhs.pretty(), lhs.pretty())
-        series = pairing_series(s, t)
-        report.check(f"stabilization-bound[{n}]",
-                     series.stabilized_at <= max(s.depth, t.depth),
-                     "k₀ ≤ max depth", f"k₀ = {series.stabilized_at}")
+        with report.guard(f"pairing-vs-l2[{n}]", f"stabilization-bound[{n}]"):
+            lhs = renormalized_pairing(s, t)
+            rhs = phi_map(s).inner(phi_map(t))
+            report.check(f"pairing-vs-l2[{n}]", lhs == rhs,
+                         rhs.pretty(), lhs.pretty())
+            series = pairing_series(s, t)
+            report.check(f"stabilization-bound[{n}]",
+                         series.stabilized_at <= max(s.depth, t.depth),
+                         "k₀ ≤ max depth", f"k₀ = {series.stabilized_at}")
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -243,18 +264,23 @@ def suite_trep(p: int, maxlen: int = 3, cases: int = 25,
         a = random_coherent_state(rng, p)
         b = random_coherent_state(rng, p)
         i = rng.randrange(p)
-        lhs = renormalized_pairing(t_op(i, a), b)
-        rhs = renormalized_pairing(a, t_dagger(i, b))
-        report.check(f"T-adjoint[{n}]", lhs == rhs, rhs.pretty(), lhs.pretty())
+        with report.guard(f"T-adjoint[{n}]"):
+            lhs = renormalized_pairing(t_op(i, a), b)
+            rhs = renormalized_pairing(a, t_dagger(i, b))
+            report.check(f"T-adjoint[{n}]", lhs == rhs, rhs.pretty(),
+                         lhs.pretty())
         N = 5
         s = random_coherent_state(rng, p, max_depth=2)
-        report.check(f"T†-two-paths[{n}]",
-                     t_dagger_fock(i, s, N) == to_fock_truncated(
-                         t_dagger(i, s), N),
-                     "generator path == word path", "differ")
-        report.check(f"T-two-paths[{n}]",
-                     t_op_fock(i, s, N) == to_fock_truncated(t_op(i, s), N),
-                     "generator path == word path", "differ")
+        with report.guard(f"T†-two-paths[{n}]"):
+            report.check(f"T†-two-paths[{n}]",
+                         t_dagger_fock(i, s, N) == to_fock_truncated(
+                             t_dagger(i, s), N),
+                         "generator path == word path", "differ")
+        with report.guard(f"T-two-paths[{n}]"):
+            report.check(f"T-two-paths[{n}]",
+                         t_op_fock(i, s, N) == to_fock_truncated(
+                             t_op(i, s), N),
+                         "generator path == word path", "differ")
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -269,24 +295,29 @@ def suite_af(p: int, maxlen: int = 2, trunc: int = 6, cases: int = 25,
     start = time.perf_counter()
     for I in words_up_to(p, maxlen):
         for J in words_up_to(p, maxlen):
-            value = af_state_value(p, I, J)
-            expected = Scalar.root_p_power(p, -(len(I) + len(J)))
-            report.check(f"af-state({word_str(I)!r},{word_str(J)!r})",
-                         value == expected, expected.pretty(), value.pretty())
+            case = f"af-state({word_str(I)!r},{word_str(J)!r})"
+            with report.guard(case):
+                value = af_state_value(p, I, J)
+                expected = Scalar.root_p_power(p, -(len(I) + len(J)))
+                report.check(case, value == expected, expected.pretty(),
+                             value.pretty())
     for n in range(cases):
         s = random_coherent_state(rng, p)
-        residuals = leibnitz_residuals(s, trunc)
-        bad = [w for r in residuals for w in r.terms if len(w) < trunc]
-        report.check(f"leibnitz[{n}]", not bad,
-                     "support only at boundary", f"{len(bad)} short words")
+        with report.guard(f"leibnitz[{n}]"):
+            residuals = leibnitz_residuals(s, trunc)
+            bad = [w for r in residuals for w in r.terms if len(w) < trunc]
+            report.check(f"leibnitz[{n}]", not bad,
+                         "support only at boundary", f"{len(bad)} short words")
         i = rng.randrange(p)
-        first, second = af_relation_residual(i, s, trunc)
-        bad1 = [w for w in first.terms if len(w) < trunc]
-        bad2 = [w for w in second.terms if len(w) < trunc]
-        report.check(f"af-bridge-create[{n}]", not bad1,
-                     "zero below boundary", f"{len(bad1)} words")
-        report.check(f"af-bridge-annihilate[{n}]", not bad2,
-                     "zero below boundary", f"{len(bad2)} words")
+        with report.guard(f"af-bridge-create[{n}]",
+                          f"af-bridge-annihilate[{n}]"):
+            first, second = af_relation_residual(i, s, trunc)
+            bad1 = [w for w in first.terms if len(w) < trunc]
+            bad2 = [w for w in second.terms if len(w) < trunc]
+            report.check(f"af-bridge-create[{n}]", not bad1,
+                         "zero below boundary", f"{len(bad1)} words")
+            report.check(f"af-bridge-annihilate[{n}]", not bad2,
+                         "zero below boundary", f"{len(bad2)} words")
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -297,9 +328,10 @@ def suite_cyclicity(p: int, depth: int = 4) -> SuiteReport:
     report = SuiteReport("cyclicity", p, {"depth": depth})
     start = time.perf_counter()
     for k in range(depth + 1):
-        basis = cyclicity_basis(p, k)   # self-checking against indicators
-        report.check(f"span(k={k})", len(basis) == p ** k,
-                     f"{p ** k} functions", f"{len(basis)}")
+        with report.guard(f"span(k={k})"):
+            basis = cyclicity_basis(p, k)   # self-checking against indicators
+            report.check(f"span(k={k})", len(basis) == p ** k,
+                         f"{p ** k} functions", f"{len(basis)}")
     report.wall_time = time.perf_counter() - start
     return report
 

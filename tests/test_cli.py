@@ -2,7 +2,9 @@
 
 import json
 
-from padic_cuntz import StepFunction, apply_operator_word, parse_operator_word
+import padic_cuntz.suites as suites
+from padic_cuntz import (SelfCheckError, StepFunction, apply_operator_word,
+                         parse_operator_word)
 from padic_cuntz.cli import main
 
 
@@ -145,3 +147,68 @@ def test_entrypoint_rejects_missing_input(capsys):
                        "--input", "/nonexistent/file.json")
     assert code == 2
     assert "error" in err
+
+
+def test_apply_input_not_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json {")
+    code, out, err = run(capsys, "apply", "--p", "2", "--ops", "a0",
+                         "--input", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "JSONDecodeError" in err
+    assert "Traceback" not in err
+
+
+def test_apply_input_missing_depth(tmp_path, capsys):
+    bad = tmp_path / "nodepth.json"
+    bad.write_text(json.dumps({"p": 2, "values": [["1/1", "0/1", "0/1",
+                                                   "0/1"]]}))
+    code, out, err = run(capsys, "apply", "--p", "2", "--ops", "a0",
+                         "--input", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'depth'" in err
+    bad.write_text(json.dumps({"p": 2, "depth": 1, "values": []}))
+    code, out, err = run(capsys, "apply", "--p", "2", "--ops", "a0",
+                         "--input", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "need 2 values" in err
+
+
+def test_verify_reports_a_self_check_error_as_a_failed_case(monkeypatch,
+                                                           capsys):
+    args = ("verify", "--p", "2", "--suite", "gns", "--depth", "2")
+    _, out, _ = run(capsys, *args)
+    cases = json.loads(out)[0]["cases"]
+    real = suites.gns_state
+
+    def broken(p, I, J):
+        if (I, J) == ((0,), (1,)):
+            raise SelfCheckError("integration disagrees with closed form")
+        return real(p, I, J)
+
+    monkeypatch.setattr(suites, "gns_state", broken)
+    code, out, err = run(capsys, *args)
+    assert code == 1 and err == ""
+    (report,) = json.loads(out)
+    assert report["cases"] == cases
+    assert report["failures"] == [{
+        "case": "state('0','1')", "expected": "identity",
+        "actual": "SelfCheckError: integration disagrees with closed form"}]
+
+
+def test_verify_expansion_case_records_the_self_check(monkeypatch, capsys):
+    args = ("verify", "--p", "2", "--suite", "pairing", "--depth", "1",
+            "--trunc", "3")
+    _, out, _ = run(capsys, *args)
+    cases = json.loads(out)[0]["cases"]
+
+    def broken(p, I, N):
+        raise SelfCheckError(f"expansion of X_{I} disagrees")
+
+    monkeypatch.setattr(suites, "build_X_truncated", broken)
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    (report,) = json.loads(out)
+    assert report["cases"] == cases
+    failed = [f["case"] for f in report["failures"]]
+    assert failed == ["expansion('')", "expansion('0')", "expansion('1')"]

@@ -8,7 +8,7 @@ import pytest
 from padic_cuntz import (CapExceededError, DiskAddress, InvalidDigitError,
                          Scalar, StepFunction, constant, indicator, integrate,
                          l2_inner, refine, word_to_center)
-from padic_cuntz.representation import creation_chain
+from padic_cuntz.representation import apply_creation, creation_chain
 from padic_cuntz.suites import random_step_function
 
 
@@ -127,6 +127,27 @@ def test_semantic_equality_across_depths():
     f = constant(2, Fraction(1, 3))
     assert f == f.refine(3)
     assert not (indicator(2, [0]) == constant(2, 1))
+    # the deeper operand has 2^24 values, past the default VALUE_CAP; the
+    # shallower one is compared against its fibres, not refined to it
+    deep = apply_creation(0, indicator(2, [0] * 23), cap=10**8)
+    assert deep.depth == 24
+    assert not (constant(2, 1) == deep)
+    assert not (deep == constant(2, 1))
+    # equal at different depths and different stored √p exponents:
+    # A†_0 1 + A†_1 1 is the constant √2
+    one = constant(2, 1)
+    root = apply_creation(0, one) + apply_creation(1, one)
+    assert (root.depth, root.exp) == (1, 1)
+    assert root == constant(2, Scalar.root_p(2))
+    assert constant(2, Scalar.root_p(2)) == root
+    assert root != constant(2, 1)
+    # one value off in the last fibre
+    rng = random.Random(29)
+    g = random_step_function(rng, 3, 1)
+    fine = g.refine(3)
+    assert fine == g and g == fine
+    off = StepFunction(3, 3, fine.values[:-1] + (fine.values[-1] + 1,))
+    assert off != g and g != off
 
 
 def test_arithmetic_and_scaling():
