@@ -22,6 +22,9 @@ from .suites import SUITE_NAMES, run_suites
 from .words import parse_word, word_str
 
 
+WORD_HELP = "digits, or dot-separated letters for p > 10"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-cuntz",
@@ -47,13 +50,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("state", help="state value of A†_I A_J")
     add_common(sp)
-    sp.add_argument("--I", default="", help="digit string for I")
-    sp.add_argument("--J", default="", help="digit string for J")
+    sp.add_argument("--I", default="", help=f"word I ({WORD_HELP})")
+    sp.add_argument("--J", default="", help=f"word J ({WORD_HELP})")
 
     sp = sub.add_parser("pair", help="renormalized pairing of X_I and X_J")
     add_common(sp)
-    sp.add_argument("--I", default="")
-    sp.add_argument("--J", default="")
+    sp.add_argument("--I", default="", help=f"word I ({WORD_HELP})")
+    sp.add_argument("--J", default="", help=f"word J ({WORD_HELP})")
 
     sp = sub.add_parser("gram", help="Gram matrix of {X_I : |I| ≤ maxlen}")
     add_common(sp)
@@ -66,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", default="one",
                     help="'one', a StepFunction JSON path, or '-' for stdin")
     sp.add_argument("--disk", default=None,
-                    help="digit string: use the disk indicator as input")
+                    help=f"word ({WORD_HELP}): use the disk indicator "
+                         "as input")
     sp.add_argument("--center-convention", choices=("lsd", "msd"),
                     default="lsd", dest="convention",
                     help="how --disk digits address the disk center")
@@ -122,7 +126,7 @@ def cmd_state(args) -> int:
     I = parse_word(args.I, args.p)
     J = parse_word(args.J, args.p)
     value = gns_state(args.p, I, J)
-    data = {"p": args.p, "I": word_str(I), "J": word_str(J),
+    data = {"p": args.p, "I": word_str(I, args.p), "J": word_str(J, args.p),
             "value": value.to_json(), "display": format_with_decimal(value)}
     _emit(data, args.pretty, lambda: format_with_decimal(value))
     return 0
@@ -133,7 +137,7 @@ def cmd_pair(args) -> int:
     J = parse_word(args.J, args.p)
     value = renormalized_pairing(indicator_state(args.p, I),
                                  indicator_state(args.p, J))
-    data = {"p": args.p, "I": word_str(I), "J": word_str(J),
+    data = {"p": args.p, "I": word_str(I, args.p), "J": word_str(J, args.p),
             "value": value.to_json(), "display": format_with_decimal(value)}
     _emit(data, args.pretty, lambda: format_with_decimal(value))
     return 0
@@ -141,13 +145,13 @@ def cmd_pair(args) -> int:
 
 def cmd_gram(args) -> int:
     basis, ren, l2, equal, max_stab = gram_matrices(args.p, args.maxlen)
-    data = {"p": args.p, "basis": [word_str(w) for w in basis],
+    data = {"p": args.p, "basis": [word_str(w, args.p) for w in basis],
             "pairing_gram": [[v.to_json() for v in row] for row in ren],
             "l2_gram": [[v.to_json() for v in row] for row in l2],
             "equal": equal, "max_stabilized_at": max_stab}
 
     def render():
-        lines = [f"basis: {[word_str(w) or 'Ω' for w in basis]}"]
+        lines = [f"basis: {[word_str(w, args.p) or 'Ω' for w in basis]}"]
         for row in ren:
             lines.append("  ".join(f"{v.pretty():>8}" for v in row))
         lines.append(f"equal to L² Gram: {equal} "

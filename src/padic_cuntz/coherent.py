@@ -272,7 +272,7 @@ def pairing_series(a: CoherentState, b: CoherentState,
                 continue
             total = total + (ca.conjugate() * cb if conj_small
                              else cb.conjugate() * ca)
-        terms.append(total.scale(Q(p) ** k))
+        terms.append(total.scale(p ** k))
     k0, value = _stabilize(terms, "renormalized pairing")
     return PairingSeries(tuple(terms), k0, value)
 

@@ -41,8 +41,8 @@ def _merge(out: dict, items, negate: bool = False) -> dict:
             out[w] = (n, -c if negate else c)
             continue
         if cur[0] != n:
-            raise SelfCheckError(
-                f"word {word_str(w)!r} would carry both λ^{cur[0]} and λ^{n}")
+            raise SelfCheckError(f"word {word_str(w, c.p)!r} would carry "
+                                 f"both λ^{cur[0]} and λ^{n}")
         s = cur[1] - c if negate else cur[1] + c
         if s.is_zero():
             del out[w]
@@ -169,7 +169,7 @@ class FockVector:
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-        shown = ", ".join(f"'{word_str(w)}': λ^{n}·({c.pretty()})"
+        shown = ", ".join(f"'{word_str(w, self.p)}': λ^{n}·({c.pretty()})"
                           for w, (n, c) in items[:6])
         if len(items) > 6:
             shown += ", …"
@@ -178,7 +178,7 @@ class FockVector:
     def to_json(self) -> dict:
         items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
         return {"p": self.p,
-                "terms": {word_str(w): {str(n): c.to_json()}
+                "terms": {word_str(w, self.p): {str(n): c.to_json()}
                           for w, (n, c) in items}}
 
     @classmethod

@@ -141,7 +141,7 @@ def gns_state(p: int, I: Word, J: Word) -> Scalar:
     expected = Scalar.root_p_power(p, -(len(I) + len(J)))
     if value != expected:
         raise SelfCheckError(
-            f"state of A†_{word_str(I) or 'Ω'} A_{word_str(J) or 'Ω'}: "
+            f"state of A†_{word_str(I, p) or 'Ω'} A_{word_str(J, p) or 'Ω'}: "
             f"integral gave {value.pretty()}, closed form "
             f"{expected.pretty()}")
     return value
@@ -163,6 +163,6 @@ def cyclicity_basis(p: int, k: int, cap: int = VALUE_CAP) -> list[StepFunction]:
         expected = make_indicator(word_to_center(p, I, "msd")).scale(scale)
         if g != expected:
             raise SelfCheckError(
-                f"A†_{word_str(I)}·1 is not p^{k}/2-scaled indicator")
+                f"A†_{word_str(I, p)}·1 is not p^{k}/2-scaled indicator")
         basis.append(g)
     return basis

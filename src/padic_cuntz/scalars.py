@@ -3,44 +3,44 @@
 Every coefficient the ladder operators, the Haar integrals, and the
 renormalized-pairing limits can produce lives in this field, so all
 identity checks in the package are exact equalities — no tolerances
-anywhere.  Rationals are gmpy2.mpq when available (much faster), with a
-fractions.Fraction fallback.  Sums and products skip zero components and
-zero operands, so plain rationals cost one rational operation each.
+anywhere.  A scalar is four integer numerators over one shared positive
+denominator, kept in lowest terms, so arithmetic is integer arithmetic
+plus one gcd, and equality is integer comparison.  Rationals
+(``fractions.Fraction``) appear only at the boundary: constructor
+arguments, the ``ra``/``rb``/``ia``/``ib`` accessors, and JSON.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import lru_cache
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # gmpy2 is declared but optional: stdlib rationals
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
+from math import gcd, lcm
 
 from .errors import NotPrimeError
 
-_Q0 = Q(0)
-_Q1 = Q(1)
 
-
-def as_rational(x) -> "Q":
-    """Coerce int / str('num/den') / Fraction / mpq to the rational type."""
-    if isinstance(x, type(_Q0)):
+def as_rational(x) -> Q:
+    """Coerce int / str('num/den') / Fraction to a Fraction."""
+    if isinstance(x, Q):
         return x
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return Q(x)
-    if isinstance(x, str):
-        return Q(x)
-    if isinstance(x, Fraction):
-        return Q(x.numerator, x.denominator)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def rational_str(q) -> str:
-    """Canonical 'num/den' serialization (always with an explicit denominator)."""
-    return f"{q.numerator}/{q.denominator}"
+_new = object.__new__
+_EXACT = frozenset((int, Q))  # types whose as_integer_ratio() is exact
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, positive denominator) of an exact rational, reduced."""
+    return (x if type(x) in _EXACT else as_rational(x)).as_integer_ratio()
+
+
+def _ratio_str(n: int, q: int) -> str:
+    """Canonical 'num/den' of n/q (always with an explicit denominator)."""
+    g = gcd(n, q)
+    return f"{n // g}/{q // g}"
 
 
 def is_prime(n: int) -> bool:
@@ -59,12 +59,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=128)
-def _rational_p_power(p: int, k: int) -> "Q":
-    """p^k as a rational, k of either sign."""
-    return Q(p ** k) if k >= 0 else Q(1, p ** -k)
-
-
 def validate_prime(p: int) -> int:
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrimeError(f"p must be prime, got {p!r}")
@@ -74,65 +68,108 @@ def validate_prime(p: int) -> int:
 class Scalar:
     """An exact element of Q(√p) ⊕ i·Q(√p).
 
-    Stored as four rationals (ra, rb, ia, ib) denoting
-    (ra + rb·√p) + i·(ia + ib·√p).  Immutable by convention; all
-    arithmetic returns new instances.  √p·√p reduces to p exactly, and
+    Stored as integers (a, b, c, d, q) denoting
+    (a + b·√p + i·(c + d·√p)) / q with q > 0 and gcd(a, b, c, d, q) = 1,
+    so equal values have equal fields.  The rational components are
+    readable as ``ra``, ``rb``, ``ia``, ``ib``.  Immutable by convention;
+    all arithmetic returns new instances.  √p·√p reduces to p exactly, and
     conjugation negates the imaginary pair only (√p is real).
     """
 
-    __slots__ = ("p", "ra", "rb", "ia", "ib")
+    __slots__ = ("p", "a", "b", "c", "d", "q")
 
     def __init__(self, p: int, ra=0, rb=0, ia=0, ib=0):
         self.p = p
-        self.ra = as_rational(ra)
-        self.rb = as_rational(rb)
-        self.ia = as_rational(ia)
-        self.ib = as_rational(ib)
+        if type(ra) is type(rb) is type(ia) is type(ib) is Q:
+            # read Fraction's fields directly: its numerator and denominator
+            # properties are Python-level calls, eight of them per value
+            a, q = ra._numerator, ra._denominator
+            b, qb, c, qc, d, qd = (rb._numerator, rb._denominator,
+                                   ia._numerator, ia._denominator,
+                                   ib._numerator, ib._denominator)
+        else:
+            (a, q), (b, qb), (c, qc), (d, qd) = map(_ratio, (ra, rb, ia, ib))
+        if b or c or d:
+            # over the lcm of reduced denominators no common factor is left
+            m = lcm(q, qb, qc, qd)
+            a, b, c, d, q = (a * (m // q), b * (m // qb), c * (m // qc),
+                             d * (m // qd), m)
+        self.a, self.b, self.c, self.d, self.q = a, b, c, d, q
 
-    @classmethod
-    def _raw(cls, p, ra, rb, ia, ib) -> "Scalar":
-        s = object.__new__(cls)
-        s.p = p
-        s.ra = ra
-        s.rb = rb
-        s.ia = ia
-        s.ib = ib
+    @staticmethod
+    def _raw(p, a, b, c, d, q) -> "Scalar":
+        """A scalar from fields already in canonical form."""
+        s = _new(Scalar)
+        s.p, s.a, s.b, s.c, s.d, s.q = p, a, b, c, d, q
+        return s
+
+    @staticmethod
+    def _reduced(p, a, b, c, d, q) -> "Scalar":
+        """(a + b√p + i(c + d√p))/q for q > 0, divided to lowest terms."""
+        if q != 1:
+            g = gcd(a, b, c, d, q)
+            if g != 1:
+                a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
+        s = _new(Scalar)
+        s.p, s.a, s.b, s.c, s.d, s.q = p, a, b, c, d, q
         return s
 
     @classmethod
+    def from_ints(cls, p: int, a: int, b: int = 0, c: int = 0, d: int = 0,
+                  q: int = 1) -> "Scalar":
+        """(a + b·√p + i·(c + d·√p)) / q from integers, q ≠ 0."""
+        if not q:
+            raise ZeroDivisionError("scalar with zero denominator")
+        if q < 0:
+            a, b, c, d, q = -a, -b, -c, -d, -q
+        return cls._reduced(p, a, b, c, d, q)
+
+    @classmethod
     def zero(cls, p: int) -> "Scalar":
-        return cls._raw(p, _Q0, _Q0, _Q0, _Q0)
+        return cls._raw(p, 0, 0, 0, 0, 1)
 
     @classmethod
     def one(cls, p: int) -> "Scalar":
-        return cls._raw(p, _Q1, _Q0, _Q0, _Q0)
+        return cls._raw(p, 1, 0, 0, 0, 1)
 
     @classmethod
     def rational(cls, p: int, q) -> "Scalar":
-        return cls._raw(p, as_rational(q), _Q0, _Q0, _Q0)
+        n, m = _ratio(q)
+        return cls._raw(p, n, 0, 0, 0, m)
 
     @classmethod
     def root_p(cls, p: int) -> "Scalar":
-        return cls._raw(p, _Q0, _Q1, _Q0, _Q0)
+        return cls._raw(p, 0, 1, 0, 0, 1)
 
     @classmethod
     def root_p_power(cls, p: int, n: int) -> "Scalar":
         """p^(n/2) as an exact scalar: p^(n//2) for even n, ·√p extra for odd."""
-        return cls.one(p).mul_root_p_power(n)
+        k, odd = divmod(n, 2)
+        num, den = (p ** k, 1) if k >= 0 else (1, p ** -k)
+        return cls._raw(p, 0, num, 0, 0, den) if odd else \
+            cls._raw(p, num, 0, 0, 0, den)
+
+    # -- rational components (the boundary) -----------------------------
+
+    # (ra + rb·√p) + i·(ia + ib·√p), each a reduced Fraction
+    ra = property(lambda s: Q(s.a, s.q))
+    rb = property(lambda s: Q(s.b, s.q))
+    ia = property(lambda s: Q(s.c, s.q))
+    ib = property(lambda s: Q(s.d, s.q))
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.ra or self.rb or self.ia or self.ib)
+        return not (self.a or self.b or self.c or self.d)
 
     def is_real(self) -> bool:
-        return not (self.ia or self.ib)
+        return not (self.c or self.d)
 
     def is_rational(self) -> bool:
-        return not (self.rb or self.ia or self.ib)
+        return not (self.b or self.c or self.d)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.a or self.b or self.c or self.d)
 
     # -- ring operations ----------------------------------------------
 
@@ -147,27 +184,47 @@ class Scalar:
             return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
+        if type(other) is not Scalar or other.p != self.p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a2, b2, c2, d2, q2 = other.a, other.b, other.c, other.d, other.q
+        if not (a2 or b2 or c2 or d2):
             return self
-        if self.is_zero():
-            return o
-        a, b, c, d = o.ra, o.rb, o.ia, o.ib
-        if not (b or c or d):  # a rational addend touches one component
-            return Scalar._raw(self.p, self.ra + a, self.rb, self.ia, self.ib)
-        return Scalar._raw(self.p, self.ra + a, self.rb + b,
-                           self.ia + c, self.ib + d)
+        a1, b1, c1, d1, q1 = self.a, self.b, self.c, self.d, self.q
+        if not (a1 or b1 or c1 or d1):
+            return other
+        if q1 == q2:
+            return Scalar._reduced(self.p, a1 + a2, b1 + b2, c1 + c2,
+                                   d1 + d2, q1)
+        g = gcd(q1, q2)
+        s1, s2 = q1 // g, q2 // g
+        n = (a1 * s2 + a2 * s1, b1 * s2 + b2 * s1, c1 * s2 + c2 * s1,
+             d1 * s2 + d2 * s1, q1 * s2)
+        # coprime denominators leave no common factor in the sum
+        return Scalar._raw(self.p, *n) if g == 1 else \
+            Scalar._reduced(self.p, *n)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar._raw(self.p, self.ra - o.ra, self.rb - o.rb,
-                           self.ia - o.ia, self.ib - o.ib)
+        if type(other) is not Scalar or other.p != self.p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a2, b2, c2, d2, q2 = other.a, other.b, other.c, other.d, other.q
+        if not (a2 or b2 or c2 or d2):
+            return self
+        a1, b1, c1, d1, q1 = self.a, self.b, self.c, self.d, self.q
+        if q1 == q2:
+            return Scalar._reduced(self.p, a1 - a2, b1 - b2, c1 - c2,
+                                   d1 - d2, q1)
+        g = gcd(q1, q2)
+        s1, s2 = q1 // g, q2 // g
+        n = (a1 * s2 - a2 * s1, b1 * s2 - b2 * s1, c1 * s2 - c2 * s1,
+             d1 * s2 - d2 * s1, q1 * s2)
+        return Scalar._raw(self.p, *n) if g == 1 else \
+            Scalar._reduced(self.p, *n)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -176,94 +233,106 @@ class Scalar:
         return o - self
 
     def __neg__(self):
-        a, b, c, d = self.ra, self.rb, self.ia, self.ib
-        return Scalar._raw(self.p, -a if a else a, -b if b else b,
-                           -c if c else c, -d if d else d)
+        return Scalar._raw(self.p, -self.a, -self.b, -self.c, -self.d,
+                           self.q)
 
     def scale(self, q) -> "Scalar":
         """Multiply by a plain rational (fast path used by the integrals)."""
-        q = as_rational(q)
-        if not q:
+        n, m = _ratio(q)
+        if not n:
             return Scalar.zero(self.p)
-        if q == 1:
+        if n == m:
             return self
-        return self._times(q)
-
-    def _times(self, q) -> "Scalar":
-        """Multiply by a nonzero rational, skipping zero components."""
-        a, b, c, d = self.ra, self.rb, self.ia, self.ib
-        return Scalar._raw(self.p, a * q if a else a, b * q if b else b,
-                           c * q if c else c, d * q if d else d)
+        return Scalar._reduced(self.p, self.a * n, self.b * n, self.c * n,
+                               self.d * n, self.q * m)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is not Scalar or other.p != self.p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         p = self.p
+        a1, b1, c1, d1, q1 = self.a, self.b, self.c, self.d, self.q
+        a2, b2, c2, d2, q2 = other.a, other.b, other.c, other.d, other.q
+        q = q1 * q2
         # fast paths: one operand a plain rational
-        if not (o.rb or o.ia or o.ib):
-            if not (self.rb or self.ia or self.ib):
-                return Scalar._raw(p, self.ra * o.ra, _Q0, _Q0, _Q0)
-            return self.scale(o.ra)
-        if not (self.rb or self.ia or self.ib):
-            return o.scale(self.ra)
-        a1, b1, c1, d1 = self.ra, self.rb, self.ia, self.ib
-        a2, b2, c2, d2 = o.ra, o.rb, o.ia, o.ib
+        if not (b2 or c2 or d2):
+            if not a2:
+                return Scalar.zero(p)
+            if a2 == q2:  # other is 1
+                return self
+            return Scalar._reduced(p, a1 * a2, b1 * a2, c1 * a2, d1 * a2, q)
+        if not (b1 or c1 or d1):
+            if not a1:
+                return Scalar.zero(p)
+            if a1 == q1:  # self is 1
+                return other
+            return Scalar._reduced(p, a1 * a2, a1 * b2, a1 * c2, a1 * d2, q)
         if not (c1 or d1 or c2 or d2):  # both real: one Q(√p) product
-            return Scalar._raw(p, a1 * a2 + p * b1 * b2, a1 * b2 + b1 * a2,
-                               _Q0, _Q0)
+            return Scalar._reduced(p, a1 * a2 + p * b1 * b2,
+                                   a1 * b2 + b1 * a2, 0, 0, q)
         # full product: (r1 + i·m1)(r2 + i·m2) with r, m in Q(√p)
-        re_a = a1 * a2 + p * b1 * b2 - (c1 * c2 + p * d1 * d2)
-        re_b = a1 * b2 + b1 * a2 - (c1 * d2 + d1 * c2)
-        im_a = a1 * c2 + p * b1 * d2 + c1 * a2 + p * d1 * b2
-        im_b = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-        return Scalar._raw(p, re_a, re_b, im_a, im_b)
+        return Scalar._reduced(
+            p,
+            a1 * a2 + p * b1 * b2 - c1 * c2 - p * d1 * d2,
+            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+            a1 * c2 + c1 * a2 + p * (b1 * d2 + d1 * b2),
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+            q)
 
     __rmul__ = __mul__
 
     def mul_root_p_power(self, n: int) -> "Scalar":
         """Multiply by p^(n/2) exactly (n may be negative)."""
-        if n == 0 or self.is_zero():
+        a, b, c, d, q = self.a, self.b, self.c, self.d, self.q
+        if n == 0 or not (a or b or c or d):
             return self
         p = self.p
         k, odd = divmod(n, 2)
-        s = self
         if odd:  # (a + b√p)·√p = p·b + a·√p
-            b, d = self.rb, self.ib
-            s = Scalar._raw(p, p * b if b else b, self.ra,
-                            p * d if d else d, self.ia)
-        return s._times(_rational_p_power(p, k)) if k else s
+            a, b, c, d = p * b, a, p * d, c
+        if k > 0:
+            f = p ** k
+            a, b, c, d = a * f, b * f, c * f, d * f
+        elif k < 0:
+            q *= p ** -k
+        return Scalar._reduced(p, a, b, c, d, q)
 
     def conjugate(self) -> "Scalar":
-        if not (self.ia or self.ib):
+        if not (self.c or self.d):
             return self
-        return Scalar._raw(self.p, self.ra, self.rb, -self.ia, -self.ib)
+        return Scalar._raw(self.p, self.a, self.b, -self.c, -self.d, self.q)
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
+        a, b, c, d, q = self.a, self.b, self.c, self.d, self.q
+        if not (a or b or c or d):
             raise ZeroDivisionError("inverse of zero scalar")
         p = self.p
-        # |z|^2 = z · conj(z) lies in Q(√p): (na + nb·√p)
-        a, b, c, d = self.ra, self.rb, self.ia, self.ib
+        # z·conj(z) = (na + nb·√p)/q², inverted in Q(√p) through
+        # (na − nb·√p)/den with den = na² − p·nb² ≠ 0 (√p is irrational)
         na = a * a + p * b * b + c * c + p * d * d
         nb = 2 * (a * b + c * d)
-        # invert na + nb·√p in Q(√p): (na − nb·√p)/(na² − p·nb²)
         den = na * na - p * nb * nb
-        inv_a = na / den
-        inv_b = -nb / den
-        # conj(z) · (inv_a + inv_b·√p)
-        conj = self.conjugate()
-        mult = Scalar._raw(p, inv_a, inv_b, _Q0, _Q0)
-        return conj * mult
+        if den < 0:
+            q, den = -q, -den
+        # 1/z = q·conj(a + b√p + i(c + d√p))·(na − nb√p)/den
+        return Scalar._reduced(p, q * (a * na - p * b * nb),
+                               q * (b * na - a * nb),
+                               -q * (c * na - p * d * nb),
+                               -q * (d * na - c * nb), den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not (o.rb or o.ia or o.ib):  # rational divisor
-            if not o.ra:
+        if not (o.b or o.c or o.d):  # rational divisor
+            n, m = o.a, o.q
+            if not n:
                 raise ZeroDivisionError("division by zero scalar")
-            return self.scale(_Q1 / o.ra)
+            if n < 0:
+                n, m = -n, -m
+            return Scalar._reduced(self.p, self.a * m, self.b * m,
+                                   self.c * m, self.d * m, self.q * n)
         return self * o.inverse()
 
     def __rtruediv__(self, other):
@@ -276,9 +345,9 @@ class Scalar:
 
     def real_sign(self) -> int:
         """Exact sign of a + b·√p; requires a real scalar."""
-        if self.ia or self.ib:
+        if self.c or self.d:
             raise ValueError("real_sign of a non-real scalar")
-        a, b = self.ra, self.rb
+        a, b = self.a, self.b  # over q > 0, which keeps the sign
         if not b:
             return (a > 0) - (a < 0)
         if not a:
@@ -297,16 +366,20 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return (self.p == other.p and self.ra == other.ra
-                    and self.rb == other.rb and self.ia == other.ia
-                    and self.ib == other.ib)
-        if isinstance(other, (int, Fraction)) or isinstance(other, type(_Q0)):
-            return (not (self.rb or self.ia or self.ib)
-                    and self.ra == as_rational(other))
+            return (self.a == other.a and self.b == other.b
+                    and self.c == other.c and self.d == other.d
+                    and self.q == other.q and self.p == other.p)
+        if isinstance(other, (int, Q)):
+            n, m = _ratio(other)
+            return (not (self.b or self.c or self.d)
+                    and self.a == n and self.q == m)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.ra, self.rb, self.ia, self.ib))
+        if not (self.b or self.c or self.d):
+            # a rational scalar hashes as the int or Fraction it equals
+            return hash(self.a) if self.q == 1 else hash(Q(self.a, self.q))
+        return hash((self.p, self.a, self.b, self.c, self.d, self.q))
 
     # -- display / serialization ----------------------------------------
 
@@ -348,20 +421,21 @@ class Scalar:
         return f"<Scalar p={self.p} {self.pretty()}>"
 
     def to_json(self) -> list[str]:
-        return [rational_str(self.ra), rational_str(self.rb),
-                rational_str(self.ia), rational_str(self.ib)]
+        q = self.q
+        return [_ratio_str(self.a, q), _ratio_str(self.b, q),
+                _ratio_str(self.c, q), _ratio_str(self.d, q)]
 
     @classmethod
     def from_json(cls, p: int, data) -> "Scalar":
         if len(data) != 4:
             raise ValueError("scalar JSON must have four rational components")
-        return cls(p, *(as_rational(x) for x in data))
+        return cls(p, *data)
 
 
 def format_with_decimal(s: Scalar, digits: int = 8) -> str:
     """Exact form, with a decimal annotation when the value is irrational."""
     out = s.pretty()
-    if s.rb or s.ia or s.ib:
+    if not s.is_rational():
         z = s.to_complex()
         if z.imag == 0:
             out += f" ≈ {z.real:.{digits}f}"

@@ -22,7 +22,7 @@ from .coherent import (CoherentState, af_relation_residual, af_state_value,
 from .errors import NotStabilizedError, SelfCheckError
 from .representation import (apply_annihilation, apply_creation,
                              cyclicity_basis, gns_state)
-from .scalars import Q, Scalar, validate_prime
+from .scalars import Scalar, validate_prime
 from .stepfunctions import StepFunction
 from .words import word_str, words_of_length, words_up_to
 
@@ -69,16 +69,22 @@ class SuiteReport:
                 "wall_time": round(self.wall_time, 6)}
 
 
-def random_rational(rng: random.Random) -> Q:
-    return Q(rng.randint(-9, 9), rng.randint(1, 9))
+def _random_ratio(rng: random.Random) -> tuple[int, int]:
+    """A numerator in [−9, 9] and a denominator in [1, 9]."""
+    return rng.randint(-9, 9), rng.randint(1, 9)
 
 
 def random_scalar(rng: random.Random, p: int, full: bool = False) -> Scalar:
     """Random exact scalar; mostly plain rationals, sometimes full-field."""
     if full or rng.random() < 0.25:
-        return Scalar(p, random_rational(rng), random_rational(rng),
-                      random_rational(rng), random_rational(rng))
-    return Scalar.rational(p, random_rational(rng))
+        (a, qa), (b, qb), (c, qc), (d, qd) = [_random_ratio(rng)
+                                              for _ in range(4)]
+        # a/qa + b/qb·√p + i·(c/qc + d/qd·√p) over the product denominator
+        return Scalar.from_ints(p, a * qb * qc * qd, b * qa * qc * qd,
+                                c * qa * qb * qd, d * qa * qb * qc,
+                                qa * qb * qc * qd)
+    n, m = _random_ratio(rng)
+    return Scalar.from_ints(p, n, q=m)
 
 
 def random_step_function(rng: random.Random, p: int,
@@ -151,7 +157,7 @@ def suite_gns(p: int, depth: int = 4, sample: int = 10_000,
     small = list(words_up_to(p, exhaustive))
     for I in small:
         for J in small:
-            case = f"state({word_str(I)!r},{word_str(J)!r})"
+            case = f"state({word_str(I, p)!r},{word_str(J, p)!r})"
             with report.guard(case):
                 value = gns_state(p, I, J)   # self-checking
                 expected = Scalar.root_p_power(p, -(len(I) + len(J)))
@@ -190,7 +196,7 @@ def suite_pairing(p: int, maxlen: int = 3, trunc: int = 6, cases: int = 25,
                      f"index ≤ {maxlen}", f"index {max_stab}")
     one = Scalar.one(p)
     for I in words_up_to(p, min(maxlen, 3)):
-        case = f"expansion({word_str(I)!r})"
+        case = f"expansion({word_str(I, p)!r})"
         with report.guard(case):
             # self-checking against the generator coefficients
             v = build_X_truncated(p, I, trunc)
@@ -203,7 +209,7 @@ def suite_pairing(p: int, maxlen: int = 3, trunc: int = 6, cases: int = 25,
             for i in range(p):
                 c = s.coefficient(I + (i,))
                 total = c if total is None else total + c
-            report.check(f"cascade[{n}]({word_str(I)!r})",
+            report.check(f"cascade[{n}]({word_str(I, p)!r})",
                          s.coefficient(I) == total, "Ψ_I = ΣΨ_Ii", "differs")
         with report.guard(f"eigen-short[{n}]", f"eigen-boundary[{n}]"):
             r = eigen_residual(s, trunc)
@@ -236,7 +242,7 @@ def suite_trep(p: int, maxlen: int = 3, cases: int = 25,
     report = SuiteReport("trep", p, {"maxlen": maxlen, "cases": cases,
                                      "seed": seed})
     start = time.perf_counter()
-    states = [(f"X_{word_str(w) or 'Ω'}", indicator_state(p, w))
+    states = [(f"X_{word_str(w, p) or 'Ω'}", indicator_state(p, w))
               for w in words_up_to(p, maxlen)]
     states += [(f"rand[{n}]", random_coherent_state(rng, p))
                for n in range(cases)]
@@ -295,7 +301,7 @@ def suite_af(p: int, maxlen: int = 2, trunc: int = 6, cases: int = 25,
     start = time.perf_counter()
     for I in words_up_to(p, maxlen):
         for J in words_up_to(p, maxlen):
-            case = f"af-state({word_str(I)!r},{word_str(J)!r})"
+            case = f"af-state({word_str(I, p)!r},{word_str(J, p)!r})"
             with report.guard(case):
                 value = af_state_value(p, I, J)
                 expected = Scalar.root_p_power(p, -(len(I) + len(J)))

@@ -4,7 +4,9 @@ A word I = i₀…i_{k−1} is a plain tuple of ints.  The first letter i₀ is
 the earliest-applied creator, so the creation monomial for I is
 A†_{i_{k−1}}···A†_{i₀} (last letter outermost).  The same tuples address
 p-adic disks through the two digit-order conventions in
-``stepfunctions.word_to_center``.
+``stepfunctions.word_to_center``.  As text (CLI arguments, JSON keys) a
+word is its digits for p ≤ 10 and its letters joined by dots for p > 10,
+where a letter may take two digits.
 """
 
 from __future__ import annotations
@@ -32,16 +34,27 @@ def check_letter(i: int, p: int) -> None:
 
 
 def parse_word(text: str, p: int) -> Word:
-    """Parse concatenated digits ('012' → (0,1,2)); empty string is Ω's word."""
+    """Parse a word written by ``word_str``; empty string is Ω's word.
+
+    For p ≤ 10 a word is concatenated digits ('012' → (0,1,2)); for p > 10,
+    where a letter may take two digits, letters are separated by dots
+    ('1.0' → (1,0), '10' → (10,)) and written without leading zeros.
+    """
     if not text:
         return ()
-    if not text.isdigit():
-        raise InvalidDigitError(f"word {text!r} must be decimal digits")
-    return validate_word((int(ch) for ch in text), p)
+    letters = list(text) if p <= 10 else text.split(".")
+    for part in letters:
+        if not (part.isascii() and part.isdigit()) or part != str(int(part)):
+            raise InvalidDigitError(
+                f"word {text!r} must be decimal digits" if p <= 10 else
+                f"word {text!r} must be dot-separated decimal letters "
+                f"without leading zeros for p = {p}")
+    return validate_word(map(int, letters), p)
 
 
-def word_str(word: Word) -> str:
-    return "".join(str(d) for d in word)
+def word_str(word: Word, p: int) -> str:
+    """The word's text: digits for p ≤ 10, dot-separated letters above."""
+    return ("" if p <= 10 else ".").join(str(d) for d in word)
 
 
 def words_of_length(p: int, k: int) -> Iterator[Word]:

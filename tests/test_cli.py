@@ -3,8 +3,8 @@
 import json
 
 import padic_cuntz.suites as suites
-from padic_cuntz import (SelfCheckError, StepFunction, apply_operator_word,
-                         parse_operator_word)
+from padic_cuntz import (Scalar, SelfCheckError, StepFunction,
+                         apply_operator_word, parse_operator_word)
 from padic_cuntz.cli import main
 
 
@@ -126,6 +126,28 @@ def test_apply_round_trip(tmp_path, capsys):
     composed = apply_operator_word(
         parse_operator_word("a1 a0 a1* a0*"), StepFunction.constant(2, 1))
     assert StepFunction.from_json(json.loads(out2)) == composed
+
+
+def test_words_with_two_digit_letters(capsys):
+    code, out, _ = run(capsys, "state", "--p", "11", "--I", "10",
+                       "--J", "1.0")
+    data = json.loads(out)
+    assert code == 0 and (data["I"], data["J"]) == ("10", "1.0")
+    assert data["value"] == Scalar.root_p_power(11, -3).to_json()
+    code, out, _ = run(capsys, "pair", "--p", "13", "--I", "12.0",
+                       "--J", "12.0")
+    data = json.loads(out)
+    assert code == 0 and (data["I"], data["J"]) == ("12.0", "12.0")
+    assert data["value"] == ["169/1", "0/1", "0/1", "0/1"]
+    for disk, depth, hot in (("10", 1, 10), ("1.0", 2, 1), ("0.10", 2, 110)):
+        code, out, _ = run(capsys, "apply", "--p", "11", "--ops", "",
+                           "--disk", disk)
+        data = json.loads(out)
+        assert code == 0 and data["depth"] == depth
+        assert [n for n, v in enumerate(data["values"])
+                if v[0] != "0/1"] == [hot]
+    code, _, err = run(capsys, "state", "--p", "11", "--I", "01")
+    assert code == 2 and "dot-separated" in err
 
 
 def test_apply_parse_error(capsys):

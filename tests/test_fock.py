@@ -273,6 +273,17 @@ def test_json_round_trip():
         FockVector.from_json(two)
 
 
+@pytest.mark.parametrize("p", [11, 13])
+def test_json_keys_for_two_digit_letters(p):
+    rng = random.Random(p)
+    v = FockVector(p, {(10,): (1, random_scalar(rng, p, full=True)),
+                       (1, 0): (2, random_scalar(rng, p, full=True)),
+                       (p - 1, 0, 1): (3, Scalar.one(p))})
+    data = v.to_json()
+    assert list(data["terms"]) == ["10", "1.0", f"{p - 1}.0.1"]
+    assert FockVector.from_json(data) == v
+
+
 def test_inner_by_length_multi_power_coefficients():
     # the vectors with these polynomial coefficients are sums of
     # single-power vectors, and the inner product is bilinear

@@ -140,6 +140,106 @@ def test_rational_coercions():
     s = Scalar.rational(2, "3/4")
     assert s == Scalar(2, Fraction(3, 4))
     assert s == Q(3, 4)
+    assert hash(s) == hash(Q(3, 4)) and hash(Scalar.one(5)) == hash(1)
+    assert len({Scalar.rational(3, 2), 2, Fraction(2)}) == 1
     assert Scalar.one(2) == 1
     assert Scalar.one(2) + 1 == Scalar.rational(2, 2)
     assert 2 * Scalar.root_p(2) == Scalar(2, 0, 2)
+
+
+# -- the kernel against an independent 4-tuple-of-Fraction reference -----------
+#
+# A reference value is (a, b, c, d) of Fractions, meaning a + b√p + i(c + d√p).
+
+
+def ref_of(s):
+    return (s.ra, s.rb, s.ia, s.ib)
+
+
+def ref_mul(p, x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    # (r1 + i·m1)(r2 + i·m2) = (r1r2 − m1m2) + i(r1m2 + m1r2) in Q(√p)
+    r = (a1 * a2 + p * b1 * b2 - (c1 * c2 + p * d1 * d2),
+         a1 * b2 + b1 * a2 - (c1 * d2 + d1 * c2))
+    m = (a1 * c2 + p * b1 * d2 + c1 * a2 + p * d1 * b2,
+         a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+    return r + m
+
+
+def ref_inverse(p, x):
+    a, b, c, d = x
+    # 1/z = conj(z)/|z|², |z|² = u + v√p, 1/(u + v√p) = (u − v√p)/(u² − pv²)
+    u = a * a + p * b * b + c * c + p * d * d
+    v = 2 * (a * b + c * d)
+    den = u * u - p * v * v
+    return ref_mul(p, (a, b, -c, -d), (u / den, -v / den, Q(0), Q(0)))
+
+
+def ref_mul_root_p_power(p, x, n):
+    step = (Q(0), Q(1), Q(0), Q(0)) if n > 0 else (Q(0), Q(1, p), Q(0), Q(0))
+    for _ in range(abs(n)):
+        x = ref_mul(p, x, step)
+    return x
+
+
+def agrees(p, z, ref):
+    """z has the reference's components and the canonical fields of the
+    same value built from them, so == and hash see no route."""
+    built = Scalar(p, *ref)
+    return ref_of(z) == ref and z == built and hash(z) == hash(built)
+
+
+@settings(deadline=None)
+@given(st.data(), primes, st.integers(min_value=-6, max_value=6), rationals)
+def test_kernel_matches_fraction_reference(data, p, n, r):
+    x = data.draw(scalars(p))
+    y = data.draw(scalars(p))
+    rx, ry = ref_of(x), ref_of(y)
+    assert agrees(p, x + y, tuple(u + v for u, v in zip(rx, ry)))
+    assert agrees(p, x - y, tuple(u - v for u, v in zip(rx, ry)))
+    assert agrees(p, x * y, ref_mul(p, rx, ry))
+    assert agrees(p, -x, tuple(-u for u in rx))
+    assert agrees(p, x.conjugate(), rx[:2] + (-rx[2], -rx[3]))
+    assert agrees(p, x.scale(r), tuple(u * r for u in rx))
+    assert agrees(p, x.mul_root_p_power(n), ref_mul_root_p_power(p, rx, n))
+    assert agrees(p, Scalar.root_p_power(p, n),
+                  ref_mul_root_p_power(p, (Q(1), Q(0), Q(0), Q(0)), n))
+    if not y.is_zero():
+        assert agrees(p, y.inverse(), ref_inverse(p, ry))
+        assert agrees(p, x / y, ref_mul(p, rx, ref_inverse(p, ry)))
+    if r:
+        assert agrees(p, x / r, tuple(u / r for u in rx))
+
+
+@settings(deadline=None)
+@given(st.data(), primes)
+def test_canonical_form(data, p):
+    x = data.draw(scalars(p))
+    y = data.draw(scalars(p))
+    routes = [(x + y) - y, (x * y + x) - x * y, x.mul_root_p_power(3)
+              .mul_root_p_power(-3), Scalar.from_json(p, x.to_json()),
+              Scalar(p, *ref_of(x))]
+    if not y.is_zero():
+        routes.append((x * y) / y)
+    for z in routes:
+        assert z == x
+        assert hash(z) == hash(x)
+        assert z.to_json() == x.to_json()
+    zero = x - x
+    assert zero == Scalar.zero(p) and hash(zero) == hash(Scalar.zero(p))
+    assert zero.to_json() == ["0/1"] * 4
+    for u, text in zip(ref_of(x), x.to_json()):
+        assert text == f"{u.numerator}/{u.denominator}"
+
+
+def test_from_ints():
+    assert Scalar.from_ints(3, 2, 4, 0, 6, 8) == \
+        Scalar(3, Fraction(1, 4), Fraction(1, 2), 0, Fraction(3, 4))
+    assert Scalar.from_ints(3, 1, q=-2) == Scalar.rational(3, Fraction(-1, 2))
+    assert Scalar.from_ints(5, 0, 0, 0, 0, 7).to_json() == ["0/1"] * 4
+    with pytest.raises(ZeroDivisionError):
+        Scalar.from_ints(2, 1, q=0)
+    s = Scalar(2, Fraction(1, 2), 0, Fraction(-1, 3))
+    assert s.to_json() == ["1/2", "0/1", "-1/3", "0/1"]
+    assert (s.ra, s.rb, s.ia, s.ib) == (Fraction(1, 2), 0, Fraction(-1, 3), 0)
