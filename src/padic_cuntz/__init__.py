@@ -13,7 +13,7 @@ from .coherent import (CoherentState, PairingSeries, af_relation_residual,
                        to_fock_truncated)
 from .errors import (CapExceededError, InvalidDigitError, InvalidLetterError,
                      NotPrimeError, NotStabilizedError, OperatorParseError,
-                     PadicCuntzError, SelfCheckError)
+                     PadicCuntzError, ParameterError, SelfCheckError)
 from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
                    fock_annihilate, fock_create, fock_inner,
                    fock_inner_by_length)

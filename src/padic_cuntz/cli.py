@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not is_prime(args.p):
-        print("p must be prime", file=sys.stderr)
+        print("error: p must be prime", file=sys.stderr)
         return 2
     handlers = {"verify": cmd_verify, "state": cmd_state, "pair": cmd_pair,
                 "gram": cmd_gram, "apply": cmd_apply}

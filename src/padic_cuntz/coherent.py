@@ -17,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (CapExceededError, NotStabilizedError, SelfCheckError)
+from .errors import (CapExceededError, NotStabilizedError, ParameterError,
+                     SelfCheckError)
 from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
                    fock_create, fock_inner_by_length)
 from .representation import apply_annihilation, apply_creation
-from .scalars import Q, Scalar, validate_prime
+from .scalars import Scalar, validate_prime
 from .stepfunctions import (VALUE_CAP, StepFunction, _check_cap,
                             make_indicator, word_to_center)
-from .words import (Word, count_words_up_to, validate_word, words_of_length,
-                    words_up_to)
+from .words import Word, count_words_up_to, validate_word, words_up_to
 
 
 class CoherentState:
@@ -59,28 +59,18 @@ class CoherentState:
         total = sum(g.raw[center::p ** k], Scalar.zero(p))
         return total.mul_root_p_power(g.exp - 2 * max(g.depth, len(I)))
 
-    def coefficients_of_length(self, k: int,
-                               cap: int = VALUE_CAP) -> dict[Word, Scalar]:
-        """All nonzero Ψ_I with |I| = k, keyed by word.
-
-        Ψ_I depends only on the first min(k, depth) letters of I, so each
-        value is computed once per such prefix and shared by its extensions.
-        """
-        p, g = self.p, self.generator
-        _check_cap(p, k, cap)
+    def layer(self, k: int) -> StepFunction:
+        """The Ψ_I with |I| = k, which read only the first min(k, depth)
+        letters of I: the generator's coset sums at that depth."""
+        g = self.generator
         j = min(k, g.depth)
-        sums = g.coset_sums(j)
-        shift = g.exp - 2 * max(g.depth, k)
-        tails = list(words_of_length(p, k - j))
-        out: dict[Word, Scalar] = {}
-        for head in words_of_length(p, j):
-            v = sums[sum(d * p ** n for n, d in enumerate(head))]
-            if v.is_zero():
-                continue
-            v = v.mul_root_p_power(shift)
-            for tail in tails:
-                out[head + tail] = v
-        return out
+        return StepFunction._raw(self.p, j, g.coset_sums(j),
+                                 g.exp - 2 * max(g.depth, k))
+
+    def coefficients_of_length(self, k: int) -> dict[Word, Scalar]:
+        """All nonzero Ψ_I with |I| = k, keyed by word (capped as ``terms``)."""
+        v = FockVector._raw(self.p, {(k, 0): self.layer(k)}, None, 0)
+        return {w: c for w, (_, c) in v.terms.items()}
 
     def vacuum_coefficient(self) -> Scalar:
         return self.generator.integrate()
@@ -136,34 +126,20 @@ def indicator_state(p: int, I: Word) -> CoherentState:
     """The distinguished state generated by p^{|I|} × the indicator of disk I."""
     validate_prime(p)
     I = validate_word(I, p)
-    gen = make_indicator(word_to_center(p, I, "lsd"))
-    return CoherentState(gen.scale(Scalar.rational(p, p ** len(I))))
+    gen = make_indicator(word_to_center(p, I, "lsd"))   # × p^{2|I|/2}
+    return CoherentState(StepFunction._raw(p, len(I), gen.raw, 2 * len(I)))
 
 
 def to_fock_truncated(s: CoherentState, N: int,
                       cap: int = VALUE_CAP) -> FockVector:
-    """Σ_{|I| ≤ N} λ^{|I|} Ψ_I · (word I), truncated at word length N."""
-    p = s.p
-    if count_words_up_to(p, N) > cap:
-        raise CapExceededError(
-            f"{count_words_up_to(p, N)} words at truncation {N} exceeds cap")
-    terms: dict[Word, tuple[int, Scalar]] = {}
-    for k in range(N + 1):
-        for w, psi in s.coefficients_of_length(k).items():
-            terms[w] = (k, psi)
-    return FockVector._raw(p, terms, N, 0)
+    """Σ_{|I| ≤ N} λ^{|I|} Ψ_I · (word I), truncated at word length N.
 
-
-@lru_cache(maxsize=256)
-def _af_annihilated_one_hat(p: int, N: int, J: Word) -> FockVector:
-    """AF(A_J)·1̂, where 1̂ (J = ()) expands the constant-1 state through N.
-
-    Built from the suffix: AF(A_J)·1̂ = af_annihilate(J[0], AF(A_{J[1:]})·1̂).
-    Callers must not mutate the shared result.
+    Layer (k, k) is ``s.layer(k)``: p^{min(k, depth)} values, not p^k.
     """
-    if not J:
-        return to_fock_truncated(indicator_state(p, ()), N)
-    return af_annihilate(J[0], _af_annihilated_one_hat(p, N, J[1:]))
+    _check_cap(s.p, min(N, s.depth), cap)
+    layers = {(k, k): f for k in range(N + 1)
+              if not (f := s.layer(k)).is_zero()}
+    return FockVector._raw(s.p, layers, N, 0)
 
 
 def build_X_truncated(p: int, I: Word, N: int,
@@ -171,10 +147,10 @@ def build_X_truncated(p: int, I: Word, N: int,
     """Literal expansion of the distinguished state X_I through length N.
 
     Sums λ^k(p^{−1}ΣA†_i)^k on top of λ^{|I|}A†_IΩ for k ≤ N−|I|, plus the
-    annihilator tail λ^{−l}(ΣA_i)^l λ^{|I|}A†_IΩ for l = 1..|I| (total λ
-    exponent |I|−l ≥ 0).  The result is cross-checked word by word against
-    ``to_fock_truncated(indicator_state(p, I), N)``, the generator-derived
-    coefficients; any disagreement raises SelfCheckError.
+    annihilator tail λ^{−l}(ΣA_i)^l λ^{|I|}A†_IΩ for l = 1..|I|, through
+    the full-depth ``fock_create``.  A disagreement with the generator
+    route ``to_fock_truncated(indicator_state(p, I), N)`` raises
+    SelfCheckError.
     """
     validate_prime(p)
     I = validate_word(I, p)
@@ -183,14 +159,12 @@ def build_X_truncated(p: int, I: Word, N: int,
     if count_words_up_to(p, N) > cap:
         raise CapExceededError(f"truncation {N} exceeds cap at p={p}")
     seed = FockVector(p, {I: (len(I), Scalar.one(p))}, truncation=N)
-    total = seed
-    inv_p = Scalar.rational(p, Q(1, p))
-    cur = seed
+    total = cur = seed
     for _ in range(N - len(I)):
         spread = FockVector.zero(p, N)
         for i in range(p):
             spread = spread + fock_create(i, cur)
-        cur = spread.scale(inv_p).shift_lambda(1)
+        cur = spread.mul_root_p_power(-2).shift_lambda(1)
         total = total + cur
     cur = seed
     for _ in range(len(I)):
@@ -204,12 +178,9 @@ def build_X_truncated(p: int, I: Word, N: int,
 
 
 def eigen_residual(s: CoherentState, N: int) -> FockVector:
-    """(Σ_i A_i − λ) applied to the truncated expansion of s.
-
-    The cascade condition makes every word of length < N cancel exactly;
-    what remains sits at the truncation boundary with coefficient
-    −λ^{N+1}·Ψ_J on each length-N word J.
-    """
+    """(Σ_i A_i − λ) on the truncated expansion of s.  The cascade
+    condition cancels every word of length < N; what remains is −λ^{N+1}·Ψ_J
+    on each length-N word J."""
     if N < 1:
         raise ValueError("truncation must be at least 1")
     v = to_fock_truncated(s, N)
@@ -221,11 +192,9 @@ def eigen_residual(s: CoherentState, N: int) -> FockVector:
 
 @dataclass(frozen=True)
 class PairingSeries:
-    """Per-word-length contributions c_k with λ² evaluated at p.
-
-    For finite-type states c_k is exactly constant once k reaches the
-    larger generator depth; the stabilized value is the renormalized
-    pairing (the Abel limit of an eventually-constant geometric series).
+    """Per-word-length contributions c_k with λ² evaluated at p: constant
+    from the larger generator depth on, where the stabilized value is the
+    renormalized pairing (the Abel limit of an eventually constant series).
     """
 
     terms: tuple[Scalar, ...]
@@ -252,37 +221,33 @@ def _stabilize(terms: list[Scalar], context: str) -> tuple[int, Scalar]:
     return k0, tail
 
 
+def _at_root_p(p: int, by_len: dict, kmax: int) -> list[Scalar]:
+    """Each length's λ-polynomial at λ = √p, Σ c·p^{n/2}, for 0..kmax."""
+    return [sum((c.mul_root_p_power(n)
+                 for n, c in by_len.get(k, {}).items()), Scalar.zero(p))
+            for k in range(kmax + 1)]
+
+
 def pairing_series(a: CoherentState, b: CoherentState,
                    margin: int = 2) -> PairingSeries:
-    """c_k = p^k Σ_{|I|=k} conj(Ψᵃ_I)·Ψᵇ_I, through max depth + margin."""
+    """c_k = p^k Σ_{|I|=k} conj(Ψᵃ_I)·Ψᵇ_I, through max depth + margin.
+
+    c_k is the length-k part of ⟨a, b⟩ between the truncated expansions
+    at λ = √p: p^{2k} times the L² pairing of the two length-k layers.
+    """
     if a.p != b.p:
         raise ValueError("mixed primes in pairing")
-    p = a.p
     kmax = max(a.depth, b.depth) + max(margin, 2)
-    terms = []
-    for k in range(kmax + 1):
-        ta = a.coefficients_of_length(k)
-        tb = b.coefficients_of_length(k)
-        total = Scalar.zero(p)
-        small, other, conj_small = ((ta, tb, True) if len(ta) <= len(tb)
-                                    else (tb, ta, False))
-        for w, ca in small.items():
-            cb = other.get(w)
-            if cb is None:
-                continue
-            total = total + (ca.conjugate() * cb if conj_small
-                             else cb.conjugate() * ca)
-        terms.append(total.scale(p ** k))
+    by_len = fock_inner_by_length(to_fock_truncated(a, kmax),
+                                  to_fock_truncated(b, kmax))
+    terms = _at_root_p(a.p, by_len, kmax)
     k0, value = _stabilize(terms, "renormalized pairing")
     return PairingSeries(tuple(terms), k0, value)
 
 
 def renormalized_pairing(a: CoherentState, b: CoherentState) -> Scalar:
-    """The λ → √p−0 limit of (1 − λ²/p)⟨a, b⟩, exactly.
-
-    Equals the L² pairing of the two generators for every finite-type
-    pair; the stabilization route computes it without touching them.
-    """
+    """The λ → √p−0 limit of (1 − λ²/p)⟨a, b⟩, exactly: the L² pairing of
+    the two generators, computed without touching them."""
     return pairing_series(a, b).value
 
 
@@ -300,26 +265,22 @@ def t_op(i: int, s: CoherentState) -> CoherentState:
 
 
 def t_dagger_fock(i: int, s: CoherentState, N: int) -> FockVector:
-    """Word-level T†_i: p^{−1/2}(λ·[right A†_i on the expansion] + Ψ_∅·Ω).
-
-    Independent of the generator route; ``to_fock_truncated(t_dagger(i, s), N)``
-    must coincide with this exactly.
-    """
+    """Word-level T†_i: p^{−1/2}(λ·[right A†_i on the expansion] + Ψ_∅·Ω),
+    which ``to_fock_truncated(t_dagger(i, s), N)`` must equal exactly."""
     if N < 1:
         raise ValueError("truncation must be at least 1")
     p = s.p
     base = to_fock_truncated(s, N - 1).with_truncation(N)
     created = af_create(i, base).shift_lambda(1)
     omega = FockVector(p, {(): (0, s.vacuum_coefficient())}, N)
-    return (created + omega).scale(Scalar.root_p_power(p, -1))
+    return (created + omega).mul_root_p_power(-1)
 
 
 def t_op_fock(i: int, s: CoherentState, N: int) -> FockVector:
     """Word-level T_i: √p·λ^{−1}·[right A_i on the expansion]."""
     base = to_fock_truncated(s, N + 1)
     stripped = af_annihilate(i, base)
-    return stripped.shift_lambda(-1).scale(
-        Scalar.root_p_power(s.p, 1)).with_truncation(N)
+    return stripped.shift_lambda(-1).mul_root_p_power(1).with_truncation(N)
 
 
 def leibnitz_residuals(s: CoherentState, N: int) -> list[FockVector]:
@@ -330,11 +291,8 @@ def leibnitz_residuals(s: CoherentState, N: int) -> list[FockVector]:
     only at the truncation boundary length N; everything shorter cancels
     exactly through the cascade condition.
     """
-    if N < 1:
-        raise ValueError("truncation must be at least 1")
-    p = s.p
-    v = to_fock_truncated(s, N)
-    residuals = [annihilate_sum(v) - v.shift_lambda(1)]
+    residuals = [eigen_residual(s, N)]
+    p, v = s.p, to_fock_truncated(s, N)
     omega_term = FockVector(p, {(): (0, s.vacuum_coefficient())}, N)
     for j in range(p):
         applied = af_create(j, v)  # A†_Φ on the basis word (j)
@@ -342,6 +300,12 @@ def leibnitz_residuals(s: CoherentState, N: int) -> list[FockVector]:
         rhs = applied.shift_lambda(1) + omega_term
         residuals.append(lhs - rhs)
     return residuals
+
+
+@lru_cache(maxsize=64)
+def _one_hat(p: int, N: int) -> FockVector:
+    """1̂, the constant state's expansion through N (shared: never mutated)."""
+    return to_fock_truncated(indicator_state(p, ()), N)
 
 
 def af_state_value(p: int, I: Word, J: Word, N: int | None = None,
@@ -358,20 +322,16 @@ def af_state_value(p: int, I: Word, J: Word, N: int | None = None,
     if N is None:
         N = len(I) + len(J) + margin
     needed = len(I) + len(J) + max(margin, 2)
-    one_hat = _af_annihilated_one_hat(p, N, ())
-    v = _af_annihilated_one_hat(p, N, J)
+    one_hat = _one_hat(p, N)
+    v = one_hat
+    for j in reversed(J):   # rightmost factor of AF(A_J) is AF(A_{j_last})
+        v = af_annihilate(j, v)
     for i in I:             # rightmost factor of AF(A†_I) is AF(A†_{i₀})
         v = af_create(i, v)
     by_len = fock_inner_by_length(one_hat, v)
-    if not by_len:
-        raise NotStabilizedError(
-            f"empty pairing series at N={N}; need N ≥ {needed}")
-    # each length's λ-polynomial at λ = √p: Σ c·p^{n/2}
-    terms = [sum((c.mul_root_p_power(n)
-                  for n, c in by_len.get(m, {}).items()), Scalar.zero(p))
-             for m in range(max(by_len) + 1)]
     try:
-        _, value = _stabilize(terms, "antifock state series")
+        _, value = _stabilize(_at_root_p(p, by_len, max(by_len, default=0)),
+                              "antifock state series")
     except NotStabilizedError:
         raise NotStabilizedError(
             f"antifock series did not stabilize at N={N}; "
@@ -384,44 +344,26 @@ def af_relation_residual(i: int, s: CoherentState,
     """Residuals of the two bridges between T-operators and the AF action.
 
     first:  to_fock(T†_i s) − p^{−1/2}λ·af_create(i, ·) − p^{−1/2}Ψ_∅·Ω;
-    second: λ·to_fock(T_i s) − √p·af_annihilate(i, ·) (denominator cleared).
-    Both vanish on every word strictly below the truncation boundary N.
+    second: λ·to_fock(T_i s) − √p·af_annihilate(i, ·) (denominator cleared),
+    the AF sides being ``t_dagger_fock`` and λ·``t_op_fock`` one length
+    down.  Both vanish on every word strictly below the truncation N.
     """
-    if N < 1:
-        raise ValueError("truncation must be at least 1")
-    p = s.p
-    v = to_fock_truncated(s, N)
-    inv_root = Scalar.root_p_power(p, -1)
-    first = (to_fock_truncated(t_dagger(i, s), N)
-             - af_create(i, v).shift_lambda(1).scale(inv_root)
-             - FockVector(p, {(): (0, s.vacuum_coefficient() * inv_root)},
-                          N))
-    second = (to_fock_truncated(t_op(i, s), N).shift_lambda(1)
-              - af_annihilate(i, v).scale(Scalar.root_p_power(p, 1)))
-    return first, second
+    first = to_fock_truncated(t_dagger(i, s), N) - t_dagger_fock(i, s, N)
+    second = to_fock_truncated(t_op(i, s), N) - t_op_fock(i, s, N - 1)
+    return first, second.shift_lambda(1)
 
 
 def gram_matrices(p: int, maxlen: int, margin: int = 2):
-    """Gram data for {X_I : |I| ≤ maxlen} along both routes.
-
-    Returns (basis words, stabilization Gram, L² Gram, equal flag,
-    largest stabilization index seen).  The two matrices agreeing entry
-    by entry is the finite-type isomorphism statement.
-    """
+    """Gram data for {X_I : |I| ≤ maxlen} along both routes: (basis words,
+    stabilization Gram, L² Gram, equal flag, largest stabilization index).
+    The two matrices agreeing is the finite-type isomorphism statement."""
     validate_prime(p)
+    if maxlen < 0:
+        raise ParameterError(f"basis length must be nonnegative, got {maxlen}")
     basis = list(words_up_to(p, maxlen))
     states = [indicator_state(p, w) for w in basis]
-    gens = [phi_map(s) for s in states]
-    n = len(basis)
-    ren = [[None] * n for _ in range(n)]
-    l2 = [[None] * n for _ in range(n)]
-    max_stab = 0
-    for a in range(n):
-        for b in range(n):
-            series = pairing_series(states[a], states[b], margin)
-            ren[a][b] = series.value
-            if series.stabilized_at > max_stab:
-                max_stab = series.stabilized_at
-            l2[a][b] = gens[a].inner(gens[b])
-    equal = all(ren[a][b] == l2[a][b] for a in range(n) for b in range(n))
-    return basis, ren, l2, equal, max_stab
+    series = [[pairing_series(a, b, margin) for b in states] for a in states]
+    ren = [[s.value for s in row] for row in series]
+    l2 = [[phi_map(a).inner(phi_map(b)) for b in states] for a in states]
+    max_stab = max(s.stabilized_at for row in series for s in row)
+    return basis, ren, l2, ren == l2, max_stab

@@ -17,6 +17,10 @@ class NotPrimeError(PadicCuntzError, ValueError):
     """The modulus p failed the primality check."""
 
 
+class ParameterError(PadicCuntzError, ValueError):
+    """A size parameter (depth, truncation, basis length) is out of range."""
+
+
 class CapExceededError(PadicCuntzError, RuntimeError):
     """A refinement or creation chain would exceed the value-count cap."""
 

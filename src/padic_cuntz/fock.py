@@ -1,94 +1,101 @@
-"""Truncated free (Boltzmann) Fock space over p letters.
+"""Truncated free (Boltzmann) Fock space over p letters, stored by layers.
 
-Basis words are tuples of letters (orthonormal).  A coherent-state
-expansion Σ_I λ^{|I|} Ψ_I A†_I Ω puts one power of the formal eigenvalue
-parameter λ on each word, so a vector stores each word's coefficient as
-one λ-monomial: the pair (n, c) reads c·λ^n with c a nonzero exact scalar.
-Inner products are true polynomials in λ and come back as plain
-{exponent: Scalar} dicts.  λ stays formal everywhere — the pairing limits
-evaluate at λ = √p only at the very end, inside Q(√p).
+Basis words are orthonormal, and each carries one λ-monomial c·λ^n, as in
+a coherent-state expansion Σ_I λ^{|I|} Ψ_I A†_I Ω.  The word i₀…i_{k−1} is
+the coset index Σ i_j p^j at depth k (first letter lowest), and a vector
+is stored as nonzero layers {(k, n): StepFunction} of the length-k words
+carrying λ^n.  A layer shallower than k reads only the first ``depth``
+letters, so the expansion of a depth-d state costs p^{min(k, d)} values
+at length k, not p^k.
 
-Two ladder pairs act on words:
-
-* ``fock_create``/``fock_annihilate`` append / strip the LAST letter
-  (latest-applied creator) — the left regular action;
-* ``af_create``/``af_annihilate`` prepend / strip the FIRST letter
-  (earliest-applied creator) — right multiplication, the "antifock"
-  action used by the coherent-state T-operators.
-
-Creation beyond a vector's truncation length drops the word and counts it
-in the result's ``spilled`` tally (truncation artifacts are themselves
-assertion targets, so they are data, not errors).
+``af_create``/``af_annihilate`` prepend / strip the FIRST letter (lowest
+digit; the right "antifock" action behind the T-operators): the
+interleave and stride-p slice of ``representation``.  ``fock_create``/
+``fock_annihilate`` append / strip the LAST letter (top digit; the left
+action), which needs the layer at full depth.  Creation beyond the
+truncation counts the dropped words in ``spilled``: data, not errors.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidLetterError, SelfCheckError
+from operator import add, sub
+
+from .errors import CapExceededError, SelfCheckError
 from .scalars import Scalar, validate_prime
-from .words import Word, check_letter, parse_word, word_str
+from .stepfunctions import VALUE_CAP, StepFunction, _check_cap
+from .words import (Word, check_letter, parse_word, word_str,
+                    words_of_length)
 
 
-def _merge(out: dict, items, negate: bool = False) -> dict:
-    """Add (or subtract) word → (n, c) items into ``out`` in place.
+def _index(word: Word, p: int) -> int:
+    return sum(d * p ** j for j, d in enumerate(word))
 
-    A word holds one power of λ, so coefficients on the same word add only
-    when their exponents match; two different powers mean the identity
-    being checked is wrong, and raise SelfCheckError.
-    """
-    for w, (n, c) in items:
-        cur = out.get(w)
-        if cur is None:
-            out[w] = (n, -c if negate else c)
-            continue
-        if cur[0] != n:
-            raise SelfCheckError(f"word {word_str(w, c.p)!r} would carry "
-                                 f"both λ^{cur[0]} and λ^{n}")
-        s = cur[1] - c if negate else cur[1] + c
-        if s.is_zero():
-            del out[w]
-        else:
-            out[w] = (n, s)
-    return out
+
+def _word(m: int, k: int, p: int) -> Word:
+    return tuple((m // p ** j) % p for j in range(k))
+
+
+def _check_powers(p: int, layers: dict) -> None:
+    """Raise SelfCheckError where two layers at one length, so two powers
+    of λ, meet on a word."""
+    seen: dict[int, list] = {}
+    for (k, n), f in layers.items():
+        for n2, g in seen.get(k, ()):
+            a, b = len(f.raw), len(g.raw)
+            for m in range(max(a, b)):
+                if f.raw[m % a] and g.raw[m % b]:
+                    raise SelfCheckError(
+                        f"word {word_str(_word(m, k, p), p)!r} would carry "
+                        f"both λ^{min(n, n2)} and λ^{max(n, n2)}")
+        seen.setdefault(k, []).append((n, f))
+
+
+def _add(f: StepFunction, g: StepFunction, negate: bool) -> StepFunction:
+    """f ± g.  At one depth and scale, a top-digit block that is zero in
+    one operand (fock_create leaves p − 1) takes the other's block as is."""
+    if f.depth != g.depth or f.exp != g.exp or not f.depth:
+        return f - g if negate else f + g
+    n = len(f.raw) // f.p
+    zeros = (Scalar.zero(f.p),) * n
+    out = ()
+    for j in range(0, len(f.raw), n):
+        x, y = f.raw[j:j + n], g.raw[j:j + n]
+        out += x if y == zeros else y if x == zeros and not negate else \
+            tuple(map(sub if negate else add, x, y))
+    return StepFunction._raw(f.p, f.depth, out, f.exp)
 
 
 class FockVector:
-    """Finite-support map word → (λ-exponent, nonzero Scalar), with an
-    optional truncation.
+    """Layers {(length, λ-exponent): StepFunction}; creation keeps words
+    up to ``truncation`` and counts the dropped ones in ``spilled``.
+    Equality compares p and coefficients only (the rest is bookkeeping)."""
 
-    ``truncation`` is the maximum word length kept by creation operators;
-    ``spilled`` counts words dropped at that boundary so far.  Equality
-    compares p and terms only (spill and truncation are bookkeeping).
-    """
-
-    __slots__ = ("p", "terms", "truncation", "spilled")
+    __slots__ = ("p", "layers", "truncation", "spilled")
 
     def __init__(self, p: int,
                  terms: dict[Word, tuple[int, Scalar]] | None = None,
                  truncation: int | None = None, spilled: int = 0):
         validate_prime(p)
-        cleaned: dict[Word, tuple[int, Scalar]] = {}
+        grouped: dict[tuple[int, int], dict[int, Scalar]] = {}
         for w, (n, c) in (terms or {}).items():
-            w = tuple(w)
             for d in w:
-                if not 0 <= d < p:
-                    raise InvalidLetterError(
-                        f"letter {d!r} out of range [0, {p})")
+                check_letter(d, p)
             if not isinstance(n, int) or n < 0:
                 raise ValueError("λ exponents must be nonnegative integers")
             if not c.is_zero():
-                cleaned[w] = (n, c)
+                grouped.setdefault((len(w), n), {})[_index(w, p)] = c
+        zero = Scalar.zero(p)
         self.p = p
-        self.terms = cleaned
+        self.layers = {key: StepFunction._raw(p, key[0], tuple(
+            vals.get(m, zero) for m in range(_check_cap(p, key[0]))))
+            for key, vals in grouped.items()}
         self.truncation = truncation
         self.spilled = spilled
 
     @classmethod
-    def _raw(cls, p, terms, truncation, spilled) -> "FockVector":
+    def _raw(cls, p, layers, truncation, spilled) -> "FockVector":
         v = object.__new__(cls)
-        v.p = p
-        v.terms = terms
-        v.truncation = truncation
-        v.spilled = spilled
+        v.p, v.layers, v.truncation, v.spilled = p, layers, truncation, spilled
         return v
 
     @classmethod
@@ -105,74 +112,109 @@ class FockVector:
               truncation: int | None = None) -> "FockVector":
         return cls(p, {tuple(word): (0, Scalar.one(p))}, truncation)
 
+    @property
+    def terms(self) -> dict[Word, tuple[int, Scalar]]:
+        """word → (n, c) for each word with a nonzero coefficient c·λ^n,
+        built on each access; materializing words is what the cap limits."""
+        p = self.p
+        count = sum(p ** k for k in self.support_lengths())
+        if count > VALUE_CAP:
+            raise CapExceededError(f"{count} words exceed cap {VALUE_CAP}")
+        out = {}
+        for (k, n), f in self.layers.items():
+            tails = list(words_of_length(p, k - f.depth))
+            for m, c in enumerate(f.values):
+                if c:
+                    head = _word(m, f.depth, p)
+                    out.update((head + tail, (n, c)) for tail in tails)
+        return out
+
     def coefficient(self, word: Word) -> tuple[int, Scalar]:
         """(n, c) with the word's coefficient c·λ^n; (0, 0) if absent."""
-        return self.terms.get(tuple(word), (0, Scalar.zero(self.p)))
+        w = tuple(word)
+        if all(isinstance(d, int) and 0 <= d < self.p for d in w):
+            for (k, n), f in self.layers.items():
+                c = f.raw[_index(w[:f.depth], self.p)] if k == len(w) else 0
+                if c:
+                    return n, c.mul_root_p_power(f.exp)
+        return 0, Scalar.zero(self.p)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.layers
 
     def support_lengths(self) -> set[int]:
-        return {len(w) for w in self.terms}
+        return {k for k, _ in self.layers}
+
+    def _with(self, layers: dict) -> "FockVector":
+        return FockVector._raw(self.p, layers, self.truncation, self.spilled)
 
     def restrict_lengths(self, lo: int = 0,
                          hi: int | None = None) -> "FockVector":
         """Sub-vector with word lengths in [lo, hi]."""
-        out = {w: c for w, c in self.terms.items()
-               if len(w) >= lo and (hi is None or len(w) <= hi)}
-        return FockVector._raw(self.p, out, self.truncation, self.spilled)
+        return self._with({key: f for key, f in self.layers.items()
+                           if lo <= key[0] and (hi is None or key[0] <= hi)})
 
     def with_truncation(self, truncation: int | None) -> "FockVector":
-        """Same terms under a different creation-truncation length."""
-        return FockVector._raw(self.p, self.terms, truncation, self.spilled)
+        """Same coefficients under a different creation-truncation length."""
+        return FockVector._raw(self.p, self.layers, truncation, self.spilled)
 
     # -- linear structure --------------------------------------------------
 
     def _combine(self, other: "FockVector", negate: bool) -> "FockVector":
+        """Add (or subtract) layer by layer; two powers of λ meeting on a
+        word mean the identity being checked is wrong."""
         if other.p != self.p:
             raise ValueError("mixed primes in Fock sum")
         trunc = min((t for t in (self.truncation, other.truncation)
                      if t is not None), default=None)
-        out = _merge(dict(self.terms), other.terms.items(), negate)
+        out = dict(self.layers)
+        for key, g in other.layers.items():
+            f = out.pop(key, None)
+            s = (-g if negate else g) if f is None else \
+                None if negate and f == g else _add(f, g, negate)
+            if s is not None and not s.is_zero():
+                out[key] = s
+        _check_powers(self.p, out)
         return FockVector._raw(self.p, out, trunc,
                                self.spilled + other.spilled)
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self._combine(other, False)
+        return self._combine(other, False) \
+            if isinstance(other, FockVector) else NotImplemented
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self._combine(other, True)
+        return self._combine(other, True) \
+            if isinstance(other, FockVector) else NotImplemented
 
     def scale(self, c: Scalar) -> "FockVector":
         """Multiply every coefficient by the Scalar c (λ: ``shift_lambda``)."""
         if c.is_zero():
             return FockVector.zero(self.p, self.truncation)
-        return FockVector._raw(
-            self.p, {w: (n, v * c) for w, (n, v) in self.terms.items()},
-            self.truncation, self.spilled)
+        return self._with({key: f.scale(c) for key, f in self.layers.items()})
+
+    def mul_root_p_power(self, e: int) -> "FockVector":
+        """Multiply by p^{e/2}: a shift of each layer's √p scale."""
+        return self._with({key: StepFunction._raw(f.p, f.depth, f.raw,
+                                                  f.exp + e)
+                           for key, f in self.layers.items()})
 
     def shift_lambda(self, k: int) -> "FockVector":
         """Multiply by λ^k (k < 0 only if no exponent drops below 0)."""
-        out = {w: (n + k, c) for w, (n, c) in self.terms.items()}
-        if k < 0 and any(n < 0 for n, _ in out.values()):
+        if k < 0 and any(n + k < 0 for _, n in self.layers):
             raise ValueError("λ shift would create a negative exponent")
-        return FockVector._raw(self.p, out, self.truncation, self.spilled)
+        return self._with({(m, n + k): f
+                           for (m, n), f in self.layers.items()})
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        return self.p == other.p and self.terms == other.terms
+        return self.p == other.p and self.layers.keys() == \
+            other.layers.keys() and all(f == other.layers[key]
+                                        for key, f in self.layers.items())
 
     def __repr__(self):
-        items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-        shown = ", ".join(f"'{word_str(w, self.p)}': λ^{n}·({c.pretty()})"
-                          for w, (n, c) in items[:6])
-        if len(items) > 6:
-            shown += ", …"
+        shown = ", ".join(f"(k={k}, λ^{n}): depth {f.depth}"
+                          for (k, n), f in sorted(self.layers.items()))
         return f"<FockVector p={self.p} {{{shown}}} spilled={self.spilled}>"
 
     def to_json(self) -> dict:
@@ -195,50 +237,81 @@ class FockVector:
         return cls(p, terms)
 
 
-def fock_create(i: int, v: FockVector) -> FockVector:
-    """A†_i: append i as the last (latest-applied) letter of every word."""
+def _create(i: int, v: FockVector, layer) -> FockVector:
+    """Move layers up one length; those at the truncation spill."""
     check_letter(i, v.p)
-    cap = v.truncation
-    if cap is None:
-        out = {w + (i,): c for w, c in v.terms.items()}
-        spilled = v.spilled
-    else:
-        out = {w + (i,): c for w, c in v.terms.items() if len(w) < cap}
-        spilled = v.spilled + len(v.terms) - len(out)
-    return FockVector._raw(v.p, out, cap, spilled)
+    out, spilled = {}, v.spilled
+    for (k, n), f in v.layers.items():
+        if v.truncation is not None and k >= v.truncation:
+            spilled += sum(1 for c in f.raw if c) * v.p ** (k - f.depth)
+        else:
+            out[(k + 1, n)] = layer(k, f)
+    return FockVector._raw(v.p, out, v.truncation, spilled)
+
+
+def _annihilate(v: FockVector, layer) -> FockVector:
+    """Move each layer off the vacuum length down one length."""
+    out = {}
+    for (k, n), f in v.layers.items():
+        g = layer(k, f) if k else None
+        if g is f or g is not None and not g.is_zero():
+            out[(k - 1, n)] = g
+    return v._with(out)
+
+
+def fock_create(i: int, v: FockVector) -> FockVector:
+    """A†_i: append i as the last letter: the layer at full depth k goes
+    to block i of the depth-(k+1) layer."""
+    zero = (Scalar.zero(v.p),)
+
+    def layer(k, f):
+        block = _check_cap(v.p, k + 1) // v.p
+        return StepFunction._raw(v.p, k + 1, zero * (i * block)
+                                 + f.raw * (block // len(f.raw))
+                                 + zero * ((v.p - 1 - i) * block), f.exp)
+    return _create(i, v, layer)
 
 
 def fock_annihilate(i: int, v: FockVector) -> FockVector:
-    """A_i: keep words whose last letter is i, stripped; Ω goes to 0."""
+    """A_i: keep words whose last letter is i, stripped; Ω goes to 0.  A
+    layer shallower than its length does not read that letter."""
     check_letter(i, v.p)
-    out = {w[:-1]: c for w, c in v.terms.items() if w and w[-1] == i}
-    return FockVector._raw(v.p, out, v.truncation, v.spilled)
+
+    def layer(k, f):
+        block = v.p ** (k - 1)
+        return f if f.depth < k else StepFunction._raw(
+            v.p, k - 1, f.raw[i * block:(i + 1) * block], f.exp)
+    return _annihilate(v, layer)
 
 
 def af_create(i: int, v: FockVector) -> FockVector:
-    """Right multiplication by A†_i: prepend i as the first letter."""
-    check_letter(i, v.p)
-    cap = v.truncation
-    if cap is None:
-        out = {(i,) + w: c for w, c in v.terms.items()}
-        spilled = v.spilled
-    else:
-        out = {(i,) + w: c for w, c in v.terms.items() if len(w) < cap}
-        spilled = v.spilled + len(v.terms) - len(out)
-    return FockVector._raw(v.p, out, cap, spilled)
+    """Right multiplication by A†_i: prepend i as the first letter (the
+    interleave out[i::p] = raw of ``apply_creation``, without its √p)."""
+    zero = Scalar.zero(v.p)
+
+    def layer(k, f):
+        out = [zero] * _check_cap(v.p, f.depth + 1)
+        out[i::v.p] = f.raw
+        return StepFunction._raw(v.p, f.depth + 1, tuple(out), f.exp)
+    return _create(i, v, layer)
 
 
 def af_annihilate(i: int, v: FockVector) -> FockVector:
-    """Right action of A_i: keep words whose first letter is i, stripped."""
+    """Right action of A_i: keep words whose first letter is i, stripped
+    (the slice raw[i::p] of ``apply_annihilation``, without its √p)."""
     check_letter(i, v.p)
-    out = {w[1:]: c for w, c in v.terms.items() if w and w[0] == i}
-    return FockVector._raw(v.p, out, v.truncation, v.spilled)
+    return _annihilate(v, lambda k, f: StepFunction._raw(
+        v.p, f.depth - 1, f.raw[i::v.p], f.exp) if f.depth else f)
 
 
 def annihilate_sum(v: FockVector) -> FockVector:
-    """(Σ_i A_i)·v — every nonempty word stripped of its last letter."""
-    out = _merge({}, ((w[:-1], c) for w, c in v.terms.items() if w))
-    return FockVector._raw(v.p, out, v.truncation, v.spilled)
+    """(Σ_i A_i)·v — every nonempty word stripped of its last letter: the
+    top digit summed out, which is ×p = p^{2/2} for a shallower layer."""
+    out = _annihilate(v, lambda k, f: StepFunction._raw(
+        v.p, f.depth, f.raw, f.exp + 2) if f.depth < k else
+        StepFunction._raw(v.p, k - 1, f.coset_sums(k - 1), f.exp))
+    _check_powers(v.p, out.layers)
+    return out
 
 
 def fock_inner(v: FockVector, w: FockVector) -> dict[int, Scalar]:
@@ -252,37 +325,18 @@ def fock_inner(v: FockVector, w: FockVector) -> dict[int, Scalar]:
 
 def fock_inner_by_length(v: FockVector,
                          w: FockVector) -> dict[int, dict[int, Scalar]]:
-    """Per-word-length contributions {length: {exponent: Scalar}} to ⟨v, w⟩
-    (for stabilization limits).
-
-    Expansions share coefficient objects across words and the ladder
-    operators move them without copying, so the products conj(c₁)·c₂ are
-    tallied per (word length, λ-exponent, c₁, c₂) by identity and each
-    distinct pair is multiplied once, times its count.  Sharing only
-    saves work; unshared coefficients give one tally each.
-    """
+    """Per-length contributions {length: {exponent: Scalar}} to ⟨v, w⟩,
+    zeros left out: the p^k length-k words give p^k times the layers'
+    normalized L² pairing."""
     if v.p != w.p:
         raise ValueError("mixed primes in Fock inner product")
-    small, large, conj_small = ((v, w, True) if len(v.terms) <= len(w.terms)
-                                else (w, v, False))
-    tally: dict[tuple, list] = {}
-    for key, (n1, c1) in small.terms.items():
-        other = large.terms.get(key)
-        if other is None:
-            continue
-        n2, c2 = other
-        if not conj_small:
-            c1, c2 = c2, c1
-        slot = (len(key), n1 + n2, id(c1), id(c2))
-        entry = tally.get(slot)
-        if entry is None:
-            tally[slot] = [c1, c2, 1]
-        else:
-            entry[2] += 1
     by_len: dict[int, dict[int, Scalar]] = {}
-    for (k, n, _, _), (c1, c2, count) in tally.items():
-        prod = (c1.conjugate() * c2).scale(count)
-        coeffs = by_len.setdefault(k, {})
-        coeffs[n] = coeffs[n] + prod if n in coeffs else prod
-    return {k: {n: c for n, c in coeffs.items() if not c.is_zero()}
-            for k, coeffs in by_len.items()}
+    for (k, n1), f in v.layers.items():
+        for (k2, n2), g in w.layers.items():
+            if k2 == k:
+                c = f.inner(g).mul_root_p_power(2 * k)
+                coeffs = by_len.setdefault(k, {})
+                coeffs[n1 + n2] = coeffs[n1 + n2] + c \
+                    if n1 + n2 in coeffs else c
+    return {k: kept for k, coeffs in by_len.items()
+            if (kept := {n: c for n, c in coeffs.items() if c})}

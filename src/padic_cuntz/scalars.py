@@ -29,6 +29,7 @@ def as_rational(x) -> Q:
 
 
 _new = object.__new__
+_ZEROS: dict = {}
 _EXACT = frozenset((int, Q))  # types whose as_integer_ratio() is exact
 
 
@@ -126,7 +127,10 @@ class Scalar:
 
     @classmethod
     def zero(cls, p: int) -> "Scalar":
-        return cls._raw(p, 0, 0, 0, 0, 1)
+        """0, one object per p: zero-padded arrays compare by identity."""
+        if p not in _ZEROS:
+            _ZEROS[p] = cls._raw(p, 0, 0, 0, 0, 1)
+        return _ZEROS[p]
 
     @classmethod
     def one(cls, p: int) -> "Scalar":

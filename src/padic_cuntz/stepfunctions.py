@@ -11,6 +11,7 @@ the Haar integral and the L² pairing unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import CapExceededError, InvalidDigitError
 from .scalars import Scalar, validate_prime
@@ -191,13 +192,13 @@ class StepFunction:
         if not isinstance(other, StepFunction):
             return NotImplemented
         k, e, a, b = self._aligned(other)
-        return StepFunction._raw(
-            self.p, k, tuple(x + y for x, y in zip(a, b)), e)
+        return StepFunction._raw(self.p, k, tuple(map(add, a, b)), e)
 
     def __sub__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
-        return self + (-other)
+        k, e, a, b = self._aligned(other)
+        return StepFunction._raw(self.p, k, tuple(map(sub, a, b)), e)
 
     def __neg__(self):
         return StepFunction._raw(self.p, self.depth,
@@ -233,8 +234,9 @@ class StepFunction:
         low, high = sorted((self, other), key=lambda f: f.depth)
         vals = low._raw_at(high.exp)
         m = len(vals)
-        return all(x == v for n, v in enumerate(vals)
-                   for x in high.raw[n::m])
+        copies = len(high.raw) // m
+        return all(high.raw[n::m] == (v,) * copies
+                   for n, v in enumerate(vals))
 
     def __repr__(self):
         shown = ", ".join(v.mul_root_p_power(self.exp).pretty()

@@ -19,7 +19,7 @@ from .coherent import (CoherentState, af_relation_residual, af_state_value,
                        indicator_state, leibnitz_residuals, pairing_series,
                        phi_map, renormalized_pairing, t_dagger, t_dagger_fock,
                        t_op, t_op_fock, to_fock_truncated)
-from .errors import NotStabilizedError, SelfCheckError
+from .errors import NotStabilizedError, ParameterError, SelfCheckError
 from .representation import (apply_annihilation, apply_creation,
                              cyclicity_basis, gns_state)
 from .scalars import Scalar, validate_prime
@@ -213,12 +213,12 @@ def suite_pairing(p: int, maxlen: int = 3, trunc: int = 6, cases: int = 25,
                          s.coefficient(I) == total, "Ψ_I = ΣΨ_Ii", "differs")
         with report.guard(f"eigen-short[{n}]", f"eigen-boundary[{n}]"):
             r = eigen_residual(s, trunc)
-            short = [w for w in r.terms if len(w) < trunc]
+            short = [k for k in r.support_lengths() if k < trunc]
             report.check(f"eigen-short[{n}]", not short,
-                         "no residual below boundary", f"{len(short)} words")
-            boundary = all(r.coefficient(w) == (trunc + 1, -psi) for w, psi
-                           in s.coefficients_of_length(trunc).items())
-            report.check(f"eigen-boundary[{n}]", boundary,
+                         "no residual below boundary", f"{len(short)} lengths")
+            boundary = to_fock_truncated(s, trunc).restrict_lengths(
+                trunc).shift_lambda(1).scale(-one)
+            report.check(f"eigen-boundary[{n}]", r == boundary,
                          "−λ^{N+1}Ψ_J", "differs")
         t = random_coherent_state(rng, p)
         with report.guard(f"pairing-vs-l2[{n}]", f"stabilization-bound[{n}]"):
@@ -311,19 +311,19 @@ def suite_af(p: int, maxlen: int = 2, trunc: int = 6, cases: int = 25,
         s = random_coherent_state(rng, p)
         with report.guard(f"leibnitz[{n}]"):
             residuals = leibnitz_residuals(s, trunc)
-            bad = [w for r in residuals for w in r.terms if len(w) < trunc]
+            bad = [k for r in residuals for k in r.support_lengths()
+                   if k < trunc]
             report.check(f"leibnitz[{n}]", not bad,
-                         "support only at boundary", f"{len(bad)} short words")
+                         "support only at boundary",
+                         f"{len(bad)} short lengths")
         i = rng.randrange(p)
         with report.guard(f"af-bridge-create[{n}]",
                           f"af-bridge-annihilate[{n}]"):
-            first, second = af_relation_residual(i, s, trunc)
-            bad1 = [w for w in first.terms if len(w) < trunc]
-            bad2 = [w for w in second.terms if len(w) < trunc]
-            report.check(f"af-bridge-create[{n}]", not bad1,
-                         "zero below boundary", f"{len(bad1)} words")
-            report.check(f"af-bridge-annihilate[{n}]", not bad2,
-                         "zero below boundary", f"{len(bad2)} words")
+            for side, r in zip(("create", "annihilate"),
+                               af_relation_residual(i, s, trunc)):
+                bad = [k for k in r.support_lengths() if k < trunc]
+                report.check(f"af-bridge-{side}[{n}]", not bad,
+                             "zero below boundary", f"{len(bad)} lengths")
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -352,6 +352,14 @@ def run_suites(name: str, p: int, depth: int = 4, trunc: int = 6,
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     wide = 3 if p <= 3 else 2
+    if depth < 0:
+        raise ParameterError(f"depth must be nonnegative, got {depth}")
+    if trunc < 1:
+        raise ParameterError(f"truncation must be at least 1, got {trunc}")
+    longest = min(depth, wide, 3)   # the pairing suite's expansion words
+    if name in ("pairing", "all") and trunc < longest:
+        raise ParameterError(f"truncation {trunc} below the pairing "
+                             f"suite's basis word length {longest}")
     reports = []
     if name in ("cuntz", "all"):
         reports.append(suite_cuntz(p, depth=min(depth, 5), seed=seed))

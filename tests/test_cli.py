@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import padic_cuntz.suites as suites
 from padic_cuntz import (Scalar, SelfCheckError, StepFunction,
                          apply_operator_word, parse_operator_word)
@@ -61,6 +63,22 @@ def test_prime_validation(capsys):
     code, _, err = run(capsys, "verify", "--p", "4", "--suite", "gns")
     assert code == 2
     assert "p must be prime" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--p", "2", "--trunc", "0"), "truncation must be at least 1"),
+    (("verify", "--p", "2", "--suite", "pairing", "--trunc", "1"),
+     "truncation 1 below the pairing suite's basis word length 3"),
+    (("verify", "--p", "2", "--depth", "-1"), "depth must be nonnegative"),
+    (("gram", "--p", "2", "--maxlen", "-1"),
+     "basis length must be nonnegative"),
+    (("state", "--p", "4"), "p must be prime"),
+])
+def test_bad_integers_get_an_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_verify_json_report(capsys):

@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from padic_cuntz import (CoherentState, NotStabilizedError, Q, Scalar,
-                         af_relation_residual, af_state_value,
-                         apply_annihilation, apply_creation,
+from padic_cuntz import (CapExceededError, CoherentState,
+                         NotStabilizedError, Q, Scalar, af_relation_residual,
+                         af_state_value, apply_annihilation, apply_creation,
                          build_X_truncated, constant, eigen_residual,
-                         gram_matrices, indicator, indicator_state, l2_inner,
-                         leibnitz_residuals, pairing_series, phi_map,
-                         renormalized_pairing, t_dagger, t_dagger_fock, t_op,
-                         t_op_fock, to_fock_truncated, words_of_length,
-                         words_up_to)
-from padic_cuntz.suites import random_coherent_state
+                         fock_inner_by_length, gram_matrices, indicator,
+                         indicator_state, l2_inner, leibnitz_residuals,
+                         pairing_series, phi_map, renormalized_pairing,
+                         t_dagger, t_dagger_fock, t_op, t_op_fock,
+                         to_fock_truncated, words_of_length, words_up_to)
+from padic_cuntz.suites import random_coherent_state, random_step_function
 
 
 def test_coefficient_examples():
@@ -315,3 +315,37 @@ def test_coherent_json_round_trip():
     blob = series.to_json()
     assert blob["stabilized_at"] == series.stabilized_at
     assert blob["value"] == series.value.to_json()
+
+
+def test_expansion_layers_follow_the_generator_depth():
+    # p = 13, N = 5: 13^5 = 371,293 words at the boundary, but every layer
+    # of a depth-2 state holds at most 13^2 raw values
+    rng = random.Random(13)
+    s = CoherentState(random_step_function(rng, 13, 2))
+    v = to_fock_truncated(s, 5)
+    assert max(len(f.raw) for f in v.layers.values()) <= 13 ** 2
+    assert v.support_lengths() <= set(range(6))
+    for _ in range(200):
+        w = tuple(rng.randrange(13) for _ in range(rng.randint(0, 5)))
+        psi = s.coefficient(w)
+        want = (len(w), psi) if not psi.is_zero() else (0, Scalar.zero(13))
+        assert v.coefficient(w) == want
+
+
+def test_expansion_cap_follows_what_is_built():
+    # 2^31 − 1 words through length 30, but only depth-0 layers are built;
+    # materializing the words is what the cap refuses
+    s = indicator_state(2, ())
+    v = to_fock_truncated(s, 30)
+    assert max(len(f.raw) for f in v.layers.values()) == 1
+    r = eigen_residual(s, 30)
+    boundary = -Scalar.rational(2, Q(1, 2 ** 30))
+    assert r.support_lengths() == {30}
+    assert r.coefficient((1, 0) * 15) == (31, boundary)
+    parts = fock_inner_by_length(v, v)
+    assert parts == {k: {2 * k: Scalar.rational(2, Q(1, 2 ** k))}
+                     for k in range(31)}
+    with pytest.raises(CapExceededError):
+        v.to_json()
+    with pytest.raises(CapExceededError):
+        r.terms

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from padic_cuntz import (FockVector, InvalidLetterError, Q, Scalar,
-                         SelfCheckError, af_annihilate, af_create,
-                         annihilate_sum, fock_annihilate, fock_create,
-                         fock_inner, fock_inner_by_length)
-from padic_cuntz.suites import random_scalar
+                         SelfCheckError, StepFunction, af_annihilate,
+                         af_create, annihilate_sum, fock_annihilate,
+                         fock_create, fock_inner, fock_inner_by_length,
+                         to_fock_truncated, word_str, words_of_length,
+                         words_up_to)
+from padic_cuntz.suites import random_coherent_state, random_scalar
 
 
 def one_term(p):
@@ -340,3 +342,212 @@ def test_inner_by_length_matches_polynomial_products():
                 for b in pieces_w:
                     pair_sum = poly_add(pair_sum, fock_inner(a, b))
             assert pair_sum == total
+
+
+# -- the layers against a word-keyed reference --------------------------------
+#
+# The reference below keeps a vector as a plain dict word → (n, c) and
+# implements every operation word by word.  It reads a layered vector
+# through ``ref_terms``, which decodes the layers itself, so nothing in it
+# goes through the code under test.
+
+
+def ref_terms(v):
+    """word → (n, c) decoded from the layers: the first letter is the lowest
+    digit, and a layer of depth d reads only the first d letters."""
+    out = {}
+    for (k, n), f in v.layers.items():
+        for w in words_of_length(v.p, k):
+            m = sum(d * v.p ** j for j, d in enumerate(w[:f.depth]))
+            c = f.raw[m].mul_root_p_power(f.exp)
+            if not c.is_zero():
+                assert w not in out, "a stored vector carries two powers"
+                out[w] = (n, c)
+    return out
+
+
+def ref_sum(items):
+    """Sum (word, n, c) items; a word left with two powers of λ raises."""
+    acc = {}
+    for w, n, c in items:
+        acc[(w, n)] = acc[(w, n)] + c if (w, n) in acc else c
+    out = {}
+    for (w, n), c in acc.items():
+        if c.is_zero():
+            continue
+        if w in out:
+            raise SelfCheckError(f"word {w} carries two powers")
+        out[w] = (n, c)
+    return out
+
+
+def ref_combine(a, b, sign):
+    return ref_sum([(w, n, c) for w, (n, c) in a.items()]
+                   + [(w, n, sign * c) for w, (n, c) in b.items()])
+
+
+def ref_create(terms, trunc, extend):
+    kept = {extend(w): nc for w, nc in terms.items()
+            if trunc is None or len(w) < trunc}
+    return kept, len(terms) - len(kept)
+
+
+def ref_annihilate(terms, i, first):
+    return {(w[1:] if first else w[:-1]): nc for w, nc in terms.items()
+            if w and w[0 if first else -1] == i}
+
+
+def ref_annihilate_sum(terms):
+    return ref_sum([(w[:-1], n, c) for w, (n, c) in terms.items() if w])
+
+
+def ref_inner_by_length(a, b):
+    out = {}
+    for w, (n1, c1) in a.items():
+        if w in b:
+            n2, c2 = b[w]
+            coeffs = out.setdefault(len(w), {})
+            n = n1 + n2
+            c = c1.conjugate() * c2
+            coeffs[n] = coeffs[n] + c if n in coeffs else c
+    out = {k: {n: c for n, c in coeffs.items() if not c.is_zero()}
+           for k, coeffs in out.items()}
+    return {k: coeffs for k, coeffs in out.items() if coeffs}
+
+
+def ref_json(p, terms):
+    items = sorted(terms.items(), key=lambda t: (len(t[0]), t[0]))
+    return {"p": p, "terms": {word_str(w, p): {str(n): c.to_json()}
+                              for w, (n, c) in items}}
+
+
+def random_layered(rng, p, max_len=4, trunc=None):
+    """A vector straight from random layers: each length gets a depth ≤ k,
+    and each coset at that depth one λ-exponent (or zero), so exponents
+    mix at one length on disjoint words; √p scales vary too."""
+    layers = {}
+    for k in range(max_len + 1):
+        if rng.random() < 0.3:
+            continue
+        depth = rng.randint(0, k)
+        exponents = rng.sample(range(4), rng.randint(1, 2))
+        raws = {n: [Scalar.zero(p)] * p ** depth for n in exponents}
+        for m in range(p ** depth):
+            if rng.random() < 0.8:
+                raws[rng.choice(exponents)][m] = random_scalar(rng, p)
+        exp = rng.randint(-2, 2)
+        for n, raw in raws.items():
+            f = StepFunction._raw(p, depth, tuple(raw), exp)
+            if not f.is_zero():
+                layers[(k, n)] = f
+    return FockVector._raw(p, layers, trunc, 0)
+
+
+def agree(layered, reference):
+    """Both sides raise SelfCheckError, or both return; the results."""
+    try:
+        want = reference()
+    except SelfCheckError:
+        with pytest.raises(SelfCheckError):
+            layered()
+        return None, None
+    return layered(), want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_layered_operators_match_the_word_reference(p):
+    rng = random.Random(100 + p)
+    raised = 0
+    for _ in range(12 if p == 5 else 25):
+        trunc = rng.choice([None, 2, 3, 4])
+        v = random_layered(rng, p, trunc=trunc)
+        w = random_layered(rng, p, max_len=3)
+        tv, tw = ref_terms(v), ref_terms(w)
+        # reading: terms, coefficient, support, JSON, equality
+        assert v.terms == tv
+        for word in words_up_to(p, 5):
+            assert v.coefficient(word) == tv.get(word, (0, Scalar.zero(p)))
+        assert v.support_lengths() == {len(word) for word in tv}
+        assert v.is_zero() == (not tv)
+        assert v.to_json() == ref_json(p, tv)
+        assert FockVector.from_json(v.to_json()) == v
+        assert FockVector(p, tv) == v
+        assert (v == w) == (tv == tw)
+        # both ladder pairs, with the spill at the truncation
+        for i in range(p):
+            for op, first in ((af_create, True), (fock_create, False)):
+                out = op(i, v)
+                want, spill = ref_create(
+                    tv, trunc,
+                    (lambda x: (i,) + x) if first else (lambda x: x + (i,)))
+                assert ref_terms(out) == want
+                assert out.spilled == spill
+            for op, first in ((af_annihilate, True),
+                              (fock_annihilate, False)):
+                assert ref_terms(op(i, v)) == ref_annihilate(tv, i, first)
+        # linear structure
+        for sign, op in ((1, lambda a, b: a + b), (-1, lambda a, b: a - b)):
+            got, want = agree(lambda: op(v, w),
+                              lambda: ref_combine(tv, tw, sign))
+            raised += got is None
+            if got is not None:
+                assert ref_terms(got) == want
+        got, want = agree(lambda: annihilate_sum(v),
+                          lambda: ref_annihilate_sum(tv))
+        raised += got is None
+        if got is not None:
+            assert ref_terms(got) == want
+        c = random_scalar(rng, p, full=True)
+        assert ref_terms(v.scale(c)) == {
+            word: (n, x * c) for word, (n, x) in tv.items() if x * c}
+        assert ref_terms(v.shift_lambda(2)) == {
+            word: (n + 2, x) for word, (n, x) in tv.items()}
+        assert ref_terms(v.mul_root_p_power(3)) == {
+            word: (n, x.mul_root_p_power(3)) for word, (n, x) in tv.items()}
+        # cancellation to zero, and the inner product per length
+        assert (v - v).is_zero() and ref_terms(v - v) == {}
+        assert (v - FockVector(p, tv)).is_zero()
+        assert fock_inner_by_length(v, w) == ref_inner_by_length(tv, tw)
+        assert fock_inner_by_length(v, v) == ref_inner_by_length(tv, tv)
+    assert raised  # the two-powers check was reached at random too
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_expansion_layers_match_the_word_reference(p):
+    # expansions have layers shallower than their length: annihilate_sum
+    # multiplies those by p instead of summing p equal children
+    rng = random.Random(200 + p)
+    for _ in range(6):
+        s = random_coherent_state(rng, p, max_depth=2)
+        v = to_fock_truncated(s, 4)
+        assert any(f.depth < k for (k, _), f in v.layers.items())
+        tv = ref_terms(v)
+        assert ref_terms(annihilate_sum(v)) == ref_annihilate_sum(tv)
+        for i in range(p):
+            out = af_create(i, v)
+            want, spill = ref_create(tv, 4, lambda x: (i,) + x)
+            assert ref_terms(out) == want and out.spilled == spill
+            assert ref_terms(af_annihilate(i, v)) == \
+                ref_annihilate(tv, i, True)
+            assert ref_terms(fock_annihilate(i, v)) == \
+                ref_annihilate(tv, i, False)
+
+
+def test_two_powers_raise_only_where_supports_meet():
+    one = Scalar.one(3)
+    # λ^1 and λ^2 at one length on disjoint words: a valid vector
+    a = FockVector(3, {(0, 1): (1, one)})
+    b = FockVector(3, {(1, 1): (2, one)})
+    mixed = a + b
+    assert mixed.coefficient((0, 1)) == (1, one)
+    assert mixed.coefficient((1, 1)) == (2, one)
+    assert (mixed - b) == a
+    # ... and on the same word after stripping the last letter
+    with pytest.raises(SelfCheckError, match="would carry both λ"):
+        annihilate_sum(FockVector(3, {(2, 0): (1, one), (2, 1): (2, one)}))
+    with pytest.raises(SelfCheckError, match="'01' would carry both"):
+        a - FockVector(3, {(0, 1): (2, one)})
+    # contributions that cancel first leave nothing to conflict
+    c = FockVector(3, {(2, 0): (1, one), (2, 1): (1, -one),
+                       (1, 2): (2, one)})
+    assert annihilate_sum(c) == FockVector(3, {(1,): (2, one)})
