@@ -15,16 +15,15 @@ from .errors import (CapExceededError, InvalidDigitError, InvalidLetterError,
                      NotPrimeError, NotStabilizedError, OperatorParseError,
                      PadicCuntzError, ParameterError, SelfCheckError)
 from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
-                   fock_annihilate, fock_create, fock_inner,
+                   create_sum, fock_annihilate, fock_create, fock_inner,
                    fock_inner_by_length)
 from .representation import (OperatorWord, apply_annihilation, apply_creation,
                              apply_operator_word, creation_chain,
                              cyclicity_basis, gns_state, parse_operator_word)
 from .scalars import Q, Scalar, format_with_decimal, is_prime, validate_prime
-from .stepfunctions import (VALUE_CAP, DiskAddress, StepFunction, constant,
-                            indicator, integrate, l2_inner, make_indicator,
-                            refine, word_to_center)
-from .words import (Word, count_words_up_to, parse_word, validate_word,
-                    word_str, words_of_length, words_up_to)
+from .stepfunctions import (VALUE_CAP, DiskAddress, StepFunction, indicator,
+                            l2_inner, make_indicator, word_to_center)
+from .words import (Word, parse_word, validate_word, word_str,
+                    words_of_length, words_up_to)
 
 __version__ = "0.1.0"

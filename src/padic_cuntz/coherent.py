@@ -17,15 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (CapExceededError, NotStabilizedError, ParameterError,
-                     SelfCheckError)
+from .errors import NotStabilizedError, ParameterError, SelfCheckError
 from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
-                   fock_create, fock_inner_by_length)
+                   create_sum, fock_inner_by_length)
 from .representation import apply_annihilation, apply_creation
 from .scalars import Scalar, validate_prime
 from .stepfunctions import (VALUE_CAP, StepFunction, _check_cap,
                             make_indicator, word_to_center)
-from .words import Word, count_words_up_to, validate_word, words_up_to
+from .words import Word, validate_word, words_up_to
 
 
 class CoherentState:
@@ -147,8 +146,9 @@ def build_X_truncated(p: int, I: Word, N: int,
     """Literal expansion of the distinguished state X_I through length N.
 
     Sums λ^k(p^{−1}ΣA†_i)^k on top of λ^{|I|}A†_IΩ for k ≤ N−|I|, plus the
-    annihilator tail λ^{−l}(ΣA_i)^l λ^{|I|}A†_IΩ for l = 1..|I|, through
-    the full-depth ``fock_create``.  A disagreement with the generator
+    annihilator tail λ^{−l}(ΣA_i)^l λ^{|I|}A†_IΩ for l = 1..|I|.  Both
+    sums are layer moves (``create_sum``, ``annihilate_sum``), so every
+    layer holds at most p^{|I|} values.  A disagreement with the generator
     route ``to_fock_truncated(indicator_state(p, I), N)`` raises
     SelfCheckError.
     """
@@ -156,15 +156,10 @@ def build_X_truncated(p: int, I: Word, N: int,
     I = validate_word(I, p)
     if N < len(I):
         raise ValueError(f"truncation {N} below word length {len(I)}")
-    if count_words_up_to(p, N) > cap:
-        raise CapExceededError(f"truncation {N} exceeds cap at p={p}")
     seed = FockVector(p, {I: (len(I), Scalar.one(p))}, truncation=N)
     total = cur = seed
     for _ in range(N - len(I)):
-        spread = FockVector.zero(p, N)
-        for i in range(p):
-            spread = spread + fock_create(i, cur)
-        cur = spread.mul_root_p_power(-2).shift_lambda(1)
+        cur = create_sum(cur).mul_root_p_power(-2).shift_lambda(1)
         total = total + cur
     cur = seed
     for _ in range(len(I)):

@@ -12,13 +12,14 @@ at length k, not p^k.
 digit; the right "antifock" action behind the T-operators): the
 interleave and stride-p slice of ``representation``.  ``fock_create``/
 ``fock_annihilate`` append / strip the LAST letter (top digit; the left
-action), which needs the layer at full depth.  Creation beyond the
-truncation counts the dropped words in ``spilled``: data, not errors.
+action).  The sums over that letter are layer moves: ``create_sum``
+lifts a layer one length as is, and ``annihilate_sum`` sums out the top
+digit.  ``fock_create`` alone tiles a layer to full depth.  Creation
+beyond the truncation counts the dropped words in ``spilled``: data,
+not errors.
 """
 
 from __future__ import annotations
-
-from operator import add, sub
 
 from .errors import CapExceededError, SelfCheckError
 from .scalars import Scalar, validate_prime
@@ -48,21 +49,6 @@ def _check_powers(p: int, layers: dict) -> None:
                         f"word {word_str(_word(m, k, p), p)!r} would carry "
                         f"both λ^{min(n, n2)} and λ^{max(n, n2)}")
         seen.setdefault(k, []).append((n, f))
-
-
-def _add(f: StepFunction, g: StepFunction, negate: bool) -> StepFunction:
-    """f ± g.  At one depth and scale, a top-digit block that is zero in
-    one operand (fock_create leaves p − 1) takes the other's block as is."""
-    if f.depth != g.depth or f.exp != g.exp or not f.depth:
-        return f - g if negate else f + g
-    n = len(f.raw) // f.p
-    zeros = (Scalar.zero(f.p),) * n
-    out = ()
-    for j in range(0, len(f.raw), n):
-        x, y = f.raw[j:j + n], g.raw[j:j + n]
-        out += x if y == zeros else y if x == zeros and not negate else \
-            tuple(map(sub if negate else add, x, y))
-    return StepFunction._raw(f.p, f.depth, out, f.exp)
 
 
 class FockVector:
@@ -171,7 +157,7 @@ class FockVector:
         for key, g in other.layers.items():
             f = out.pop(key, None)
             s = (-g if negate else g) if f is None else \
-                None if negate and f == g else _add(f, g, negate)
+                None if negate and f == g else f - g if negate else f + g
             if s is not None and not s.is_zero():
                 out[key] = s
         _check_powers(self.p, out)
@@ -237,13 +223,13 @@ class FockVector:
         return cls(p, terms)
 
 
-def _create(i: int, v: FockVector, layer) -> FockVector:
-    """Move layers up one length; those at the truncation spill."""
-    check_letter(i, v.p)
+def _create(v: FockVector, layer, letters: int = 1) -> FockVector:
+    """Move layers up one length; those at the truncation spill, each
+    word once per letter created."""
     out, spilled = {}, v.spilled
     for (k, n), f in v.layers.items():
         if v.truncation is not None and k >= v.truncation:
-            spilled += sum(1 for c in f.raw if c) * v.p ** (k - f.depth)
+            spilled += letters * sum(map(bool, f.raw)) * v.p ** (k - f.depth)
         else:
             out[(k + 1, n)] = layer(k, f)
     return FockVector._raw(v.p, out, v.truncation, spilled)
@@ -262,6 +248,7 @@ def _annihilate(v: FockVector, layer) -> FockVector:
 def fock_create(i: int, v: FockVector) -> FockVector:
     """A†_i: append i as the last letter: the layer at full depth k goes
     to block i of the depth-(k+1) layer."""
+    check_letter(i, v.p)
     zero = (Scalar.zero(v.p),)
 
     def layer(k, f):
@@ -269,7 +256,7 @@ def fock_create(i: int, v: FockVector) -> FockVector:
         return StepFunction._raw(v.p, k + 1, zero * (i * block)
                                  + f.raw * (block // len(f.raw))
                                  + zero * ((v.p - 1 - i) * block), f.exp)
-    return _create(i, v, layer)
+    return _create(v, layer)
 
 
 def fock_annihilate(i: int, v: FockVector) -> FockVector:
@@ -287,13 +274,14 @@ def fock_annihilate(i: int, v: FockVector) -> FockVector:
 def af_create(i: int, v: FockVector) -> FockVector:
     """Right multiplication by A†_i: prepend i as the first letter (the
     interleave out[i::p] = raw of ``apply_creation``, without its √p)."""
+    check_letter(i, v.p)
     zero = Scalar.zero(v.p)
 
     def layer(k, f):
         out = [zero] * _check_cap(v.p, f.depth + 1)
         out[i::v.p] = f.raw
         return StepFunction._raw(v.p, f.depth + 1, tuple(out), f.exp)
-    return _create(i, v, layer)
+    return _create(v, layer)
 
 
 def af_annihilate(i: int, v: FockVector) -> FockVector:
@@ -302,6 +290,13 @@ def af_annihilate(i: int, v: FockVector) -> FockVector:
     check_letter(i, v.p)
     return _annihilate(v, lambda k, f: StepFunction._raw(
         v.p, f.depth - 1, f.raw[i::v.p], f.exp) if f.depth else f)
+
+
+def create_sum(v: FockVector) -> FockVector:
+    """(Σ_i A†_i)·v — every word extended by each last letter.  A layer
+    reads only its first ``depth`` letters, so it moves up one length as
+    is; one at the truncation spills p words per word."""
+    return _create(v, lambda k, f: f, v.p)
 
 
 def annihilate_sum(v: FockVector) -> FockVector:

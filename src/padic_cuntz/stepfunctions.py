@@ -2,10 +2,11 @@
 
 A depth-k step function stores p^k exact values, one per coset
 d₀ + d₁p + … + d_{k−1}p^{k−1} + p^k·Z_p, indexed by n = Σ d_j p^j with d₀
-the least significant digit.  Binary operations auto-refine both operands
-to a common depth; refinement copies each value to its p children
-(children of coset n at depth k are n + m·p^k, m ∈ [0, p)), which leaves
-the Haar integral and the L² pairing unchanged.
+the least significant digit.  ``+`` and ``−`` refine both operands to a
+common depth; refinement copies each value to its p children (children
+of coset n at depth k are n + m·p^k, m ∈ [0, p)), which leaves the Haar
+integral and the L² pairing unchanged.  ``inner`` and ``==`` sum or
+compare the deeper operand over the shallower one's cosets instead.
 """
 
 from __future__ import annotations
@@ -273,18 +274,6 @@ def make_indicator(address: DiskAddress, cap: int = VALUE_CAP) -> StepFunction:
 def indicator(p: int, digits, cap: int = VALUE_CAP) -> StepFunction:
     """Shorthand: indicator of the disk addressed by the given digits."""
     return make_indicator(DiskAddress(p, tuple(digits)), cap)
-
-
-def constant(p: int, value=1) -> StepFunction:
-    return StepFunction.constant(p, value)
-
-
-def refine(f: StepFunction, k_new: int, cap: int = VALUE_CAP) -> StepFunction:
-    return f.refine(k_new, cap)
-
-
-def integrate(f: StepFunction) -> Scalar:
-    return f.integrate()
 
 
 def l2_inner(f: StepFunction, g: StepFunction) -> Scalar:

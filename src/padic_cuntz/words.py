@@ -66,7 +66,3 @@ def words_up_to(p: int, n: int) -> Iterator[Word]:
     """All words of length ≤ n, shortest first, lexicographic within length."""
     for k in range(n + 1):
         yield from words_of_length(p, k)
-
-
-def count_words_up_to(p: int, n: int) -> int:
-    return sum(p ** k for k in range(n + 1))

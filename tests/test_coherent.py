@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from padic_cuntz import (CapExceededError, CoherentState,
-                         NotStabilizedError, Q, Scalar, af_relation_residual,
-                         af_state_value, apply_annihilation, apply_creation,
-                         build_X_truncated, constant, eigen_residual,
+                         NotStabilizedError, Q, Scalar, StepFunction,
+                         af_relation_residual, af_state_value,
+                         apply_annihilation, apply_creation,
+                         build_X_truncated, eigen_residual,
                          fock_inner_by_length, gram_matrices, indicator,
                          indicator_state, l2_inner, leibnitz_residuals,
                          pairing_series, phi_map, renormalized_pairing,
@@ -27,7 +28,7 @@ def test_coefficient_examples():
     assert Fraction(2, 2) == 1
     assert x0.coefficient(()) == Scalar.one(2)
     assert x0.coefficient((1,)) == Scalar.zero(2)
-    zero = CoherentState(constant(2, 0))
+    zero = CoherentState(StepFunction.constant(2, 0))
     assert zero.coefficient((0, 1)) == Scalar.zero(2)
     assert zero.is_zero()
 
@@ -90,8 +91,35 @@ def test_build_X_consistency_sweep():
             build_X_truncated(p, I, 6)  # raises SelfCheckError on mismatch
 
 
+def test_build_X_keeps_layers_at_the_word_depth():
+    # Σ_i A†_i lifts a layer without deepening it, so X_I at p = 13 holds
+    # p^{|I|} values per layer, not 13^6
+    p, I = 13, (5,)
+    v = build_X_truncated(p, I, 6)
+    assert max(len(f.raw) for f in v.layers.values()) <= p
+    s = indicator_state(p, I)
+    rng = random.Random(13)
+    nonzero = 0
+    for _ in range(200):
+        head = rng.choice([(), I])   # half of the words inside disk I
+        w = head + tuple(rng.randrange(p) for _ in range(rng.randint(0, 5)))
+        n, c = v.coefficient(w)
+        assert c == s.coefficient(w)
+        assert c.is_zero() or n == len(w)
+        nonzero += not c.is_zero()
+    assert nonzero > 50
+
+
+def test_build_X_at_a_depth_past_the_word_cap():
+    # 2^31 words: the layers stay small, only materializing them is capped
+    v = build_X_truncated(2, (0, 1), 30)
+    assert v.support_lengths() == set(range(31))
+    with pytest.raises(CapExceededError):
+        v.to_json()
+
+
 def test_to_fock_examples():
-    zero = CoherentState(constant(2, 0))
+    zero = CoherentState(StepFunction.constant(2, 0))
     assert to_fock_truncated(zero, 3).is_zero()
     xe = indicator_state(2, ())
     v = to_fock_truncated(xe, 1)
@@ -117,7 +145,7 @@ def test_eigen_residual_examples():
     want = (4, Scalar.rational(2, Q(-1, 8)))
     for w in words_of_length(2, 3):
         assert r.coefficient(w) == want
-    zero = CoherentState(constant(2, 0))
+    zero = CoherentState(StepFunction.constant(2, 0))
     assert eigen_residual(zero, 3).is_zero()
     rng = random.Random(34)
     for p in (2, 3):
@@ -160,7 +188,7 @@ def test_phi_round_trip():
     x1 = indicator_state(2, (1,))
     assert phi_map(x1) == indicator(2, [1]).scale(Scalar.rational(2, 2))
     xe = indicator_state(2, ())
-    assert phi_map(xe) == constant(2, 1)
+    assert phi_map(xe) == StepFunction.constant(2, 1)
     rng = random.Random(36)
     s = random_coherent_state(rng, 3)
     assert CoherentState(phi_map(s)) == s
@@ -253,7 +281,7 @@ def test_leibnitz_residuals():
     assert residuals[0] == eigen_residual(xe, 3)
     for r in residuals:
         assert all(len(w) == 3 for w in r.terms)
-    zero = CoherentState(constant(2, 0))
+    zero = CoherentState(StepFunction.constant(2, 0))
     assert all(r.is_zero() for r in leibnitz_residuals(zero, 3))
     x0 = indicator_state(2, (0,))
     for r in leibnitz_residuals(x0, 4):
@@ -280,7 +308,7 @@ def test_af_relation_residuals():
     first, second = af_relation_residual(0, xe, 4)
     assert not [w for w in first.terms if len(w) < 4]
     assert not [w for w in second.terms if len(w) < 4]
-    zero = CoherentState(constant(2, 0))
+    zero = CoherentState(StepFunction.constant(2, 0))
     fz, sz = af_relation_residual(1, zero, 4)
     assert fz.is_zero() and sz.is_zero()
     x1 = indicator_state(2, (1,))

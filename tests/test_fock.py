@@ -6,10 +6,10 @@ import pytest
 
 from padic_cuntz import (FockVector, InvalidLetterError, Q, Scalar,
                          SelfCheckError, StepFunction, af_annihilate,
-                         af_create, annihilate_sum, fock_annihilate,
-                         fock_create, fock_inner, fock_inner_by_length,
-                         to_fock_truncated, word_str, words_of_length,
-                         words_up_to)
+                         af_create, annihilate_sum, create_sum,
+                         fock_annihilate, fock_create, fock_inner,
+                         fock_inner_by_length, to_fock_truncated, word_str,
+                         words_of_length, words_up_to)
 from padic_cuntz.suites import random_coherent_state, random_scalar
 
 
@@ -392,6 +392,16 @@ def ref_create(terms, trunc, extend):
     return kept, len(terms) - len(kept)
 
 
+def ref_create_sum(terms, trunc, p):
+    """Σ_i A†_i: the union of the p last-letter extensions, each spilling."""
+    out, spilled = {}, 0
+    for i in range(p):
+        kept, spill = ref_create(terms, trunc, lambda x: x + (i,))
+        out.update(kept)
+        spilled += spill
+    return out, spilled
+
+
 def ref_annihilate(terms, i, first):
     return {(w[1:] if first else w[:-1]): nc for w, nc in terms.items()
             if w and w[0 if first else -1] == i}
@@ -443,6 +453,17 @@ def random_layered(rng, p, max_len=4, trunc=None):
     return FockVector._raw(p, layers, trunc, 0)
 
 
+def check_create_sum(v, tv):
+    """create_sum against the word reference and against Σ_i fock_create."""
+    out = create_sum(v)
+    want, spill = ref_create_sum(tv, v.truncation, v.p)
+    assert ref_terms(out) == want and out.spilled == spill
+    total = FockVector.zero(v.p, v.truncation)
+    for i in range(v.p):
+        total = total + fock_create(i, v)
+    assert out == total and out.spilled == total.spilled
+
+
 def agree(layered, reference):
     """Both sides raise SelfCheckError, or both return; the results."""
     try:
@@ -485,6 +506,7 @@ def test_layered_operators_match_the_word_reference(p):
             for op, first in ((af_annihilate, True),
                               (fock_annihilate, False)):
                 assert ref_terms(op(i, v)) == ref_annihilate(tv, i, first)
+        check_create_sum(v, tv)
         # linear structure
         for sign, op in ((1, lambda a, b: a + b), (-1, lambda a, b: a - b)):
             got, want = agree(lambda: op(v, w),
@@ -523,6 +545,7 @@ def test_expansion_layers_match_the_word_reference(p):
         assert any(f.depth < k for (k, _), f in v.layers.items())
         tv = ref_terms(v)
         assert ref_terms(annihilate_sum(v)) == ref_annihilate_sum(tv)
+        check_create_sum(v, tv)
         for i in range(p):
             out = af_create(i, v)
             want, spill = ref_create(tv, 4, lambda x: (i,) + x)

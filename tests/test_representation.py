@@ -7,16 +7,15 @@ import pytest
 
 from padic_cuntz import (InvalidLetterError, OperatorParseError, OperatorWord,
                          Scalar, StepFunction, apply_annihilation,
-                         apply_creation, apply_operator_word, constant,
-                         creation_chain, cyclicity_basis, gns_state,
-                         indicator, l2_inner, parse_operator_word,
-                         words_up_to)
+                         apply_creation, apply_operator_word, creation_chain,
+                         cyclicity_basis, gns_state, indicator, l2_inner,
+                         parse_operator_word, words_up_to)
 from padic_cuntz.representation import ANNIHILATE, CREATE
 from padic_cuntz.suites import random_step_function
 
 
 def test_creation_examples():
-    one = constant(2, 1)
+    one = StepFunction.constant(2, 1)
     f = apply_creation(0, one)
     assert [v.pretty() for v in f.values] == ["√2", "0"]
     g = apply_creation(1, f)
@@ -36,13 +35,13 @@ def test_creation_moves_disks():
 
 
 def test_annihilation_examples():
-    one = constant(2, 1)
+    one = StepFunction.constant(2, 1)
     out = apply_annihilation(0, one)
     assert out.depth == 0
     assert out.values[0] == Scalar.root_p_power(2, -1)
     theta = indicator(2, [0])
     assert apply_annihilation(1, theta).is_zero()
-    assert apply_annihilation(0, theta) == constant(
+    assert apply_annihilation(0, theta) == StepFunction.constant(
         2, Scalar.root_p_power(2, -1))
 
 
@@ -68,7 +67,7 @@ def test_apply_operator_word_examples():
     mismatch = parse_operator_word("a1 a0*")
     assert apply_operator_word(mismatch, f).is_zero()
     chain = parse_operator_word("a1* a0*")  # A†_I for I = (0,1)
-    out = apply_operator_word(chain, constant(2, 1))
+    out = apply_operator_word(chain, StepFunction.constant(2, 1))
     assert out == indicator(2, [1, 0]).scale(Scalar.rational(2, 2))
     with pytest.raises(InvalidLetterError):
         apply_operator_word(parse_operator_word("a7"), f)
@@ -142,7 +141,8 @@ def test_state_positivity():
                            Fraction(rng.randint(-2, 2)),
                            Fraction(rng.randint(-3, 3)), 0)
                 w = OperatorWord.state_monomial(I, J)
-                v = v + apply_operator_word(w, constant(p, 1)).scale(c)
+                one = StepFunction.constant(p, 1)
+                v = v + apply_operator_word(w, one).scale(c)
             norm = l2_inner(v, v)
             assert norm.is_real()
             assert norm.real_sign() >= 0
@@ -150,7 +150,7 @@ def test_state_positivity():
 
 def test_cyclicity_examples():
     basis0 = cyclicity_basis(2, 0)
-    assert len(basis0) == 1 and basis0[0] == constant(2, 1)
+    assert len(basis0) == 1 and basis0[0] == StepFunction.constant(2, 1)
     basis1 = cyclicity_basis(2, 1)
     root2 = Scalar.root_p(2)
     assert basis1[0] == indicator(2, [0]).scale(root2)
@@ -168,7 +168,7 @@ def test_creation_chain_matches_word_application():
         for I in words_up_to(p, 3):
             w = OperatorWord.state_monomial(I, ())
             assert creation_chain(p, I) == \
-                apply_operator_word(w, constant(p, 1))
+                apply_operator_word(w, StepFunction.constant(p, 1))
 
 
 def _created_by_hand(i, f):
@@ -185,10 +185,10 @@ def test_scaled_storage_equality_and_sum():
     # adding against explicitly valued functions must rescale exactly
     rng = random.Random(26)
     for p in (2, 3, 5):
-        one = constant(p, 1)
+        one = StepFunction.constant(p, 1)
         assert one == apply_annihilation(0, apply_creation(0, one))
         assert apply_annihilation(0, one) == \
-            constant(p, Scalar.root_p_power(p, -1))
+            StepFunction.constant(p, Scalar.root_p_power(p, -1))
         for _ in range(10):
             f = random_step_function(rng, p, rng.randint(0, 2))
             i = rng.randrange(p)

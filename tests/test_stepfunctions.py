@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from padic_cuntz import (CapExceededError, DiskAddress, InvalidDigitError,
-                         Scalar, StepFunction, constant, indicator, integrate,
-                         l2_inner, refine, word_to_center)
+                         Scalar, StepFunction, indicator, l2_inner,
+                         word_to_center)
 from padic_cuntz.representation import apply_creation, creation_chain
 from padic_cuntz.suites import random_step_function
 
@@ -29,7 +29,7 @@ def test_indicator_invalid_digit():
 
 
 def test_refine_examples():
-    c = constant(2, Fraction(5, 7))
+    c = StepFunction.constant(2, Fraction(5, 7))
     assert [v for v in c.refine(1).values] == [c.values[0]] * 2
     f = StepFunction(2, 1, [0, 1])
     # children of coset n at depth k sit at n + m·p^k: coset 1 → indices 1, 3
@@ -47,9 +47,9 @@ def test_refine_errors():
 
 
 def test_integrate_examples():
-    assert integrate(indicator(2, [0])) == Scalar.rational(2, Fraction(1, 2))
-    assert integrate(constant(3, 1)) == Scalar.one(3)
-    assert integrate(indicator(2, [0, 1])) == \
+    assert indicator(2, [0]).integrate() == Scalar.rational(2, Fraction(1, 2))
+    assert StepFunction.constant(3, 1).integrate() == Scalar.one(3)
+    assert indicator(2, [0, 1]).integrate() == \
         Scalar.rational(2, Fraction(1, 4))
 
 
@@ -66,13 +66,14 @@ def test_l2_examples():
     brute /= 8
     assert brute == 2
     assert l2_inner(two_theta, two_theta) == Scalar.rational(2, brute)
-    assert l2_inner(constant(5, 1), constant(5, 1)) == Scalar.one(5)
+    one = StepFunction.constant(5, 1)
+    assert l2_inner(one, one) == Scalar.one(5)
 
 
 def test_l2_conjugate_linear_first_slot():
     i = Scalar(2, 0, 0, 1, 0)
-    f = constant(2, 1).scale(i)
-    g = constant(2, 1)
+    f = StepFunction.constant(2, 1).scale(i)
+    g = StepFunction.constant(2, 1)
     assert l2_inner(f, g) == -i
     assert l2_inner(g, f) == i
 
@@ -84,8 +85,8 @@ def test_refinement_invariance():
             f = random_step_function(rng, p, rng.randint(0, 3))
             g = random_step_function(rng, p, rng.randint(0, 3))
             k = max(f.depth, g.depth) + rng.randint(1, 2)
-            assert integrate(refine(f, k)) == integrate(f)
-            assert l2_inner(refine(f, k), refine(g, k)) == l2_inner(f, g)
+            assert f.refine(k).integrate() == f.integrate()
+            assert l2_inner(f.refine(k), g.refine(k)) == l2_inner(f, g)
 
 
 def test_l2_self_inner_nonnegative():
@@ -103,7 +104,7 @@ def test_depth_one_indicators_partition_unity():
         total = indicator(p, [0])
         for i in range(1, p):
             total = total + indicator(p, [i])
-        assert total == constant(p, 1)
+        assert total == StepFunction.constant(p, 1)
 
 
 def test_word_to_center_conventions():
@@ -124,23 +125,23 @@ def test_word_to_center_conventions():
 
 
 def test_semantic_equality_across_depths():
-    f = constant(2, Fraction(1, 3))
+    f = StepFunction.constant(2, Fraction(1, 3))
     assert f == f.refine(3)
-    assert not (indicator(2, [0]) == constant(2, 1))
+    assert not (indicator(2, [0]) == StepFunction.constant(2, 1))
     # the deeper operand has 2^24 values, past the default VALUE_CAP; the
     # shallower one is compared against its fibres, not refined to it
     deep = apply_creation(0, indicator(2, [0] * 23), cap=10**8)
     assert deep.depth == 24
-    assert not (constant(2, 1) == deep)
-    assert not (deep == constant(2, 1))
+    assert not (StepFunction.constant(2, 1) == deep)
+    assert not (deep == StepFunction.constant(2, 1))
     # equal at different depths and different stored √p exponents:
     # A†_0 1 + A†_1 1 is the constant √2
-    one = constant(2, 1)
+    one = StepFunction.constant(2, 1)
     root = apply_creation(0, one) + apply_creation(1, one)
     assert (root.depth, root.exp) == (1, 1)
-    assert root == constant(2, Scalar.root_p(2))
-    assert constant(2, Scalar.root_p(2)) == root
-    assert root != constant(2, 1)
+    assert root == StepFunction.constant(2, Scalar.root_p(2))
+    assert StepFunction.constant(2, Scalar.root_p(2)) == root
+    assert root != StepFunction.constant(2, 1)
     # one value off in the last fibre
     rng = random.Random(29)
     g = random_step_function(rng, 3, 1)
@@ -153,7 +154,7 @@ def test_semantic_equality_across_depths():
 def test_arithmetic_and_scaling():
     f = indicator(2, [0])
     g = indicator(2, [1])
-    assert f + g == constant(2, 1)
+    assert f + g == StepFunction.constant(2, 1)
     assert (f - f).is_zero()
     assert f.scale(Scalar.root_p(2)).values[0] == Scalar.root_p(2)
     assert (2 * f).values[0] == Scalar.rational(2, 2)
