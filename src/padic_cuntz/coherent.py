@@ -55,7 +55,7 @@ class CoherentState:
         p, g = self.p, self.generator
         k = min(len(I), g.depth)
         center = sum(d * p ** j for j, d in enumerate(I[:k]))
-        total = sum(g.raw[center::p ** k], Scalar.zero(p))
+        total = Scalar.sum(p, g.raw[center::p ** k])
         return total.mul_root_p_power(g.exp - 2 * max(g.depth, len(I)))
 
     def layer(self, k: int) -> StepFunction:
@@ -218,8 +218,8 @@ def _stabilize(terms: list[Scalar], context: str) -> tuple[int, Scalar]:
 
 def _at_root_p(p: int, by_len: dict, kmax: int) -> list[Scalar]:
     """Each length's λ-polynomial at λ = √p, Σ c·p^{n/2}, for 0..kmax."""
-    return [sum((c.mul_root_p_power(n)
-                 for n, c in by_len.get(k, {}).items()), Scalar.zero(p))
+    return [Scalar.sum(p, [c.mul_root_p_power(n)
+                           for n, c in by_len.get(k, {}).items()])
             for k in range(kmax + 1)]
 
 
@@ -233,9 +233,14 @@ def pairing_series(a: CoherentState, b: CoherentState,
     if a.p != b.p:
         raise ValueError("mixed primes in pairing")
     kmax = max(a.depth, b.depth) + max(margin, 2)
-    by_len = fock_inner_by_length(to_fock_truncated(a, kmax),
-                                  to_fock_truncated(b, kmax))
-    terms = _at_root_p(a.p, by_len, kmax)
+    return _pair(to_fock_truncated(a, kmax), to_fock_truncated(b, kmax), kmax)
+
+
+def _pair(va: FockVector, vb: FockVector, kmax: int) -> PairingSeries:
+    """The pairing series of two expansions, read through length kmax."""
+    by_len = fock_inner_by_length(va.restrict_lengths(hi=kmax),
+                                  vb.restrict_lengths(hi=kmax))
+    terms = _at_root_p(va.p, by_len, kmax)
     k0, value = _stabilize(terms, "renormalized pairing")
     return PairingSeries(tuple(terms), k0, value)
 
@@ -357,7 +362,10 @@ def gram_matrices(p: int, maxlen: int, margin: int = 2):
         raise ParameterError(f"basis length must be nonnegative, got {maxlen}")
     basis = list(words_up_to(p, maxlen))
     states = [indicator_state(p, w) for w in basis]
-    series = [[pairing_series(a, b, margin) for b in states] for a in states]
+    expanded = [to_fock_truncated(s, maxlen + max(margin, 2)) for s in states]
+    series = [[_pair(va, vb, max(a.depth, b.depth) + max(margin, 2))
+               for b, vb in zip(states, expanded)]
+              for a, va in zip(states, expanded)]
     ren = [[s.value for s in row] for row in series]
     l2 = [[phi_map(a).inner(phi_map(b)) for b in states] for a in states]
     max_stab = max(s.stabilized_at for row in series for s in row)

@@ -311,11 +311,11 @@ def annihilate_sum(v: FockVector) -> FockVector:
 
 def fock_inner(v: FockVector, w: FockVector) -> dict[int, Scalar]:
     """⟨v, w⟩ = Σ_I conj(v_I)·w_I as a λ-polynomial {exponent: Scalar}."""
-    total: dict[int, Scalar] = {}
+    parts: dict[int, list] = {}
     for coeffs in fock_inner_by_length(v, w).values():
         for n, c in coeffs.items():
-            total[n] = total[n] + c if n in total else c
-    return {n: c for n, c in total.items() if not c.is_zero()}
+            parts.setdefault(n, []).append(c)
+    return {n: c for n, cs in parts.items() if (c := Scalar.sum(v.p, cs))}
 
 
 def fock_inner_by_length(v: FockVector,
@@ -325,13 +325,15 @@ def fock_inner_by_length(v: FockVector,
     normalized L² pairing."""
     if v.p != w.p:
         raise ValueError("mixed primes in Fock inner product")
+    w_at: dict[int, list] = {}
+    for (k, n), g in w.layers.items():
+        w_at.setdefault(k, []).append((n, g))
     by_len: dict[int, dict[int, Scalar]] = {}
     for (k, n1), f in v.layers.items():
-        for (k2, n2), g in w.layers.items():
-            if k2 == k:
-                c = f.inner(g).mul_root_p_power(2 * k)
-                coeffs = by_len.setdefault(k, {})
-                coeffs[n1 + n2] = coeffs[n1 + n2] + c \
-                    if n1 + n2 in coeffs else c
+        for n2, g in w_at.get(k, ()):
+            c = f.inner(g).mul_root_p_power(2 * k)
+            coeffs = by_len.setdefault(k, {})
+            coeffs[n1 + n2] = coeffs[n1 + n2] + c \
+                if n1 + n2 in coeffs else c
     return {k: kept for k, coeffs in by_len.items()
             if (kept := {n: c for n, c in coeffs.items() if c})}

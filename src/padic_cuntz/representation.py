@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from .errors import (InvalidLetterError, OperatorParseError,
                      SelfCheckError)
 from .scalars import Scalar, validate_prime
-from .stepfunctions import (VALUE_CAP, StepFunction, _check_cap,
-                            make_indicator, word_to_center)
+from .stepfunctions import VALUE_CAP, StepFunction, _check_cap, indicator
 from .words import (Word, check_letter, validate_word, word_str,
                     words_of_length)
 
@@ -157,10 +156,9 @@ def cyclicity_basis(p: int, k: int, cap: int = VALUE_CAP) -> list[StepFunction]:
     validate_prime(p)
     _check_cap(p, k, cap)
     basis = []
-    scale = Scalar.root_p_power(p, k)
     for I in words_of_length(p, k):
         g = creation_chain(p, I)
-        expected = make_indicator(word_to_center(p, I, "msd")).scale(scale)
+        expected = StepFunction._raw(p, k, indicator(p, I[::-1]).raw, k)
         if g != expected:
             raise SelfCheckError(
                 f"A†_{word_str(I, p)}·1 is not p^{k}/2-scaled indicator")

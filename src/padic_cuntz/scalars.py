@@ -115,6 +115,48 @@ class Scalar:
         s.p, s.a, s.b, s.c, s.d, s.q = p, a, b, c, d, q
         return s
 
+    @staticmethod
+    def sum(p: int, values) -> "Scalar":
+        """Σ values in one integer pass over a running common denominator."""
+        zero, lone, ta, tb, tc, td, tq = Scalar.zero(p), None, 0, 0, 0, 0, 1
+        for v in values:
+            if v is zero:  # the shared zero of padding adds nothing
+                continue
+            a, b, c, d, q = v.a, v.b, v.c, v.d, v.q
+            if q != tq:
+                if tq % q:  # grow the running denominator to lcm(tq, q)
+                    m = q // gcd(tq, q)
+                    ta, tb, tc, td, tq = ta * m, tb * m, tc * m, td * m, tq * m
+                f = tq // q
+                a, b, c, d = a * f, b * f, c * f, d * f
+            ta, tb, tc, td = ta + a, tb + b, tc + c, td + d
+            lone = v if lone is None else False   # a lone value is its sum
+        return lone or (Scalar._reduced(p, ta, tb, tc, td, tq)
+                        if ta or tb or tc or td else zero)
+
+    @staticmethod
+    def dot(p: int, xs, ys) -> "Scalar":
+        """Σ conj(x)·y, conjugate-linear in ``xs``, in one pass as ``sum``."""
+        zero, ta, tb, tc, td, tq = Scalar.zero(p), 0, 0, 0, 0, 1
+        for x, y in zip(xs, ys):
+            if x is zero or y is zero:
+                continue
+            a1, b1, c1, d1, q = x.a, x.b, x.c, x.d, x.q * y.q
+            a2, b2, c2, d2 = y.a, y.b, y.c, y.d   # times conj(x): c1, d1 → −
+            a = a1 * a2 + c1 * c2 + p * (b1 * b2 + d1 * d2)
+            b = a1 * b2 + b1 * a2 + c1 * d2 + d1 * c2
+            c = a1 * c2 - c1 * a2 + p * (b1 * d2 - d1 * b2)
+            d = a1 * d2 + b1 * c2 - c1 * b2 - d1 * a2
+            if q != tq:
+                if tq % q:
+                    m = q // gcd(tq, q)
+                    ta, tb, tc, td, tq = ta * m, tb * m, tc * m, td * m, tq * m
+                f = tq // q
+                a, b, c, d = a * f, b * f, c * f, d * f
+            ta, tb, tc, td = ta + a, tb + b, tc + c, td + d
+        return Scalar._reduced(p, ta, tb, tc, td, tq) \
+            if ta or tb or tc or td else zero
+
     @classmethod
     def from_ints(cls, p: int, a: int, b: int = 0, c: int = 0, d: int = 0,
                   q: int = 1) -> "Scalar":

@@ -166,9 +166,8 @@ class StepFunction:
         """Raw values summed over each coset at a depth ≤ self.depth."""
         if depth == self.depth:
             return self.raw
-        m = self.p ** depth
-        zero = Scalar.zero(self.p)
-        return tuple(sum(self.raw[n::m], zero) for n in range(m))
+        m, raw = self.p ** depth, self.raw
+        return tuple(Scalar.sum(self.p, raw[n::m]) for n in range(m))
 
     def inner(self, other: "StepFunction") -> Scalar:
         """L² pairing p^{−k} Σ conj(f_n)·g_n; conjugate-linear in self.
@@ -178,13 +177,8 @@ class StepFunction:
         """
         if not isinstance(other, StepFunction) or other.p != self.p:
             raise ValueError("operands must be StepFunctions over the same p")
-        k = min(self.depth, other.depth)
-        total = Scalar.zero(self.p)
-        for x, y in zip(self.coset_sums(k), other.coset_sums(k)):
-            if x.is_zero() or y.is_zero():
-                continue
-            total = total + x.conjugate() * y
-        depth = max(self.depth, other.depth)
+        k, depth = sorted((self.depth, other.depth))
+        total = Scalar.dot(self.p, self.coset_sums(k), other.coset_sums(k))
         return total.mul_root_p_power(self.exp + other.exp - 2 * depth)
 
     # -- linear structure -------------------------------------------------
@@ -219,7 +213,7 @@ class StepFunction:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.raw)
+        return self.raw == (Scalar.zero(self.p),) * len(self.raw)
 
     # -- equality (semantic: as functions on Z_p) ---------------------------
 

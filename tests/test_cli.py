@@ -252,3 +252,27 @@ def test_verify_expansion_case_records_the_self_check(monkeypatch, capsys):
     assert report["cases"] == cases
     failed = [f["case"] for f in report["failures"]]
     assert failed == ["expansion('')", "expansion('0')", "expansion('1')"]
+
+
+def test_verify_renders_values_of_failed_cases_only(monkeypatch, capsys):
+    args = ("verify", "--p", "2", "--suite", "gns", "--depth", "2")
+    real_state, real_pretty = suites.gns_state, Scalar.pretty
+
+    def unrendered(self):
+        raise AssertionError("a passing case rendered a value")
+
+    monkeypatch.setattr(Scalar, "pretty", unrendered)
+    code, _, _ = run(capsys, *args)
+    assert code == 0
+
+    def wrong(p, I, J):
+        value = real_state(p, I, J)
+        return value + 1 if (I, J) == ((0,), (1,)) else value
+
+    monkeypatch.setattr(Scalar, "pretty", real_pretty)
+    monkeypatch.setattr(suites, "gns_state", wrong)
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    (report,) = json.loads(out)
+    assert report["failures"] == [
+        {"case": "state('0','1')", "expected": "1/2", "actual": "3/2"}]

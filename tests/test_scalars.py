@@ -243,3 +243,83 @@ def test_from_ints():
     s = Scalar(2, Fraction(1, 2), 0, Fraction(-1, 3))
     assert s.to_json() == ["1/2", "0/1", "-1/3", "0/1"]
     assert (s.ra, s.rb, s.ia, s.ib) == (Fraction(1, 2), 0, Fraction(-1, 3), 0)
+
+
+# -- the reduction kernels against the same reference --------------------------
+
+
+Q_ZERO = (Q(0),) * 4
+
+
+def ref_sum(xs):
+    return tuple(sum(parts, Q(0)) for parts in zip(Q_ZERO, *xs))
+
+
+def conj_ref(x):
+    return x[:2] + (-x[2], -x[3])
+
+
+@st.composite
+def operands(draw, p):
+    """Mixed denominators, full-field values, and zeros both interned and
+    built by arithmetic (x − x is a distinct zero object)."""
+    x = draw(scalars(p))
+    kind = draw(st.sampled_from(("value", "value", "zero", "made-zero",
+                                 "one-part")))
+    if kind == "zero":
+        return Scalar.zero(p)
+    if kind == "made-zero":
+        return x - x
+    if kind == "one-part":  # a lone nonzero component, any of the four
+        parts = [Q(0)] * 4
+        parts[draw(st.integers(0, 3))] = draw(rationals.filter(bool))
+        return Scalar(p, *parts)
+    return x
+
+
+@settings(deadline=None)
+@given(st.data(), primes)
+def test_sum_and_dot_match_fraction_reference(data, p):
+    xs = data.draw(st.lists(operands(p), max_size=8))
+    ys = data.draw(st.lists(operands(p), min_size=len(xs),
+                            max_size=len(xs)))
+    rxs, rys = [ref_of(x) for x in xs], [ref_of(y) for y in ys]
+    assert agrees(p, Scalar.sum(p, xs), ref_sum(rxs))
+    assert agrees(p, Scalar.sum(p, iter(xs)), ref_sum(rxs))
+    want = ref_sum([ref_mul(p, conj_ref(u), v) for u, v in zip(rxs, rys)])
+    assert agrees(p, Scalar.dot(p, xs, ys), want)
+    assert Scalar.sum(p, xs).to_json() == Scalar(p, *ref_sum(rxs)).to_json()
+    assert Scalar.dot(p, xs, ys).to_json() == Scalar(p, *want).to_json()
+
+
+def test_reductions_of_nothing_and_of_zeros_are_zero():
+    for p in (2, 3, 5):
+        made = Scalar.one(p) - Scalar.one(p)
+        assert made is not Scalar.zero(p)
+        for total in (Scalar.sum(p, []), Scalar.dot(p, [], []),
+                      Scalar.sum(p, [made, Scalar.zero(p)]),
+                      Scalar.dot(p, [made, Scalar.one(p)],
+                                 [Scalar.root_p(p), made])):
+            assert total == Scalar.zero(p) and total.to_json() == ["0/1"] * 4
+            assert hash(total) == hash(0)
+
+
+def test_reductions_keep_every_component_and_conjugate_the_first_slot():
+    p = 3
+    units = [Scalar(p, *(Q(1, 2) if j == i else 0 for j in range(4)))
+             for i in range(4)]
+    third = Scalar.rational(p, Q(1, 3))
+    # each component alone, after a value over another denominator
+    for u in units:
+        assert Scalar.sum(p, [third, u]) - third == u
+        assert Scalar.sum(p, [Scalar.zero(p), u]) == u
+        assert Scalar.dot(p, [Scalar.one(p)], [u]) == u
+        assert Scalar.dot(p, [u, third], [Scalar.one(p)] * 2) == \
+            u.conjugate() + third
+    i = Scalar(p, 0, 0, 1, 0)
+    assert Scalar.dot(p, [i], [i]) == Scalar.one(p)        # conj(i)·i = 1
+    assert Scalar.dot(p, [i], [Scalar.one(p)]) == -i       # conj(i)·1 = −i
+    # ½ + ⅓ + ¼ over a denominator that grows twice
+    parts = [Scalar.rational(p, Q(1, n)) for n in (2, 3, 4)]
+    assert Scalar.sum(p, parts) == Scalar.rational(p, Q(13, 12))
+    assert Scalar.dot(p, parts, parts) == Scalar.rational(p, Q(61, 144))
