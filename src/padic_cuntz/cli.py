@@ -95,7 +95,8 @@ def _load_input(args) -> StepFunction:
             return StepFunction.from_json(json.load(sys.stdin))
         with open(args.input, "r", encoding="utf-8") as fh:
             return StepFunction.from_json(json.load(fh))
-    except (ValueError, KeyError, TypeError) as exc:  # JSON errors too
+    except (ValueError, KeyError, TypeError,  # JSON errors too
+            ZeroDivisionError) as exc:
         raise PadicCuntzError(
             f"--input {args.input} is not a step function in JSON "
             f"({type(exc).__name__}: {exc})") from None

@@ -83,6 +83,8 @@ class StepFunction:
 
     def __init__(self, p: int, depth: int, values):
         validate_prime(p)
+        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+            raise ValueError(f"depth must be an integer ≥ 0, got {depth!r}")
         vals = tuple(v if isinstance(v, Scalar) else Scalar.rational(p, v)
                      for v in values)
         if len(vals) != p ** depth:

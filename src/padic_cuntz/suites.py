@@ -13,6 +13,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from .coherent import (CoherentState, af_relation_residual, af_state_value,
                        build_X_truncated, eigen_residual, gram_matrices,
@@ -23,8 +24,8 @@ from .errors import NotStabilizedError, ParameterError, SelfCheckError
 from .representation import (apply_annihilation, apply_creation,
                              cyclicity_basis, gns_state)
 from .scalars import Scalar, validate_prime
-from .stepfunctions import StepFunction
-from .words import word_str, words_of_length, words_up_to
+from .stepfunctions import VALUE_CAP, StepFunction
+from .words import word_at, word_str, words_up_to
 
 SUITE_NAMES = ("cuntz", "gns", "pairing", "trep", "af", "all")
 
@@ -141,7 +142,9 @@ def suite_cuntz(p: int, depth: int = 5, cases: int = 200,
         rhs = f.inner(apply_annihilation(i, g))
         report.check(f"adjoint[{n}]", lhs == rhs, lhs, rhs)
         cf = apply_creation(i, f)
-        report.check(f"isometry[{n}]", cf.inner(cf) == f.inner(f),
+        norm = f.inner(f)   # real for a Hermitian pairing
+        report.check(f"isometry[{n}]",
+                     cf.inner(cf) == norm and norm.is_real(),
                      "‖f‖²", "differs")
     report.wall_time = time.perf_counter() - start
     return report
@@ -165,11 +168,15 @@ def suite_gns(p: int, depth: int = 4, sample: int = 10_000,
                 expected = Scalar.root_p_power(p, -(len(I) + len(J)))
                 report.check(case, value == expected, expected, value)
     if depth > exhaustive:
-        boundary = list(words_of_length(p, depth))
-        everything = list(words_up_to(p, depth))
+        # draw word indices in words_up_to order: randrange(n) takes the
+        # same random bits as choice() over a list of n words, without
+        # listing p^depth of them; the few distinct words decode once
+        word = cache(partial(word_at, p))
+        boundary = p ** depth
+        shorter = (boundary - 1) // (p - 1)   # words of length < depth
         for n in range(sample):
-            I = rng.choice(boundary)
-            J = rng.choice(everything)
+            I = word(shorter + rng.randrange(boundary))
+            J = word(rng.randrange(shorter + boundary))
             if rng.random() < 0.5:
                 I, J = J, I
             with report.guard(f"state-sample[{n}]"):
@@ -191,8 +198,9 @@ def suite_pairing(p: int, maxlen: int = 3, trunc: int = 6, cases: int = 25,
     start = time.perf_counter()
     with report.guard("gram-equality", "gram-stabilization"):
         basis, ren, l2, equal, max_stab = gram_matrices(p, maxlen)
-        report.check("gram-equality", equal, "pairing Gram == L² Gram",
-                     "differ")
+        size = sum(p ** k for k in range(maxlen + 1))
+        report.check("gram-equality", equal and len(basis) == size,
+                     f"pairing Gram == L² Gram on {size} words", "differ")
         report.check("gram-stabilization", max_stab <= maxlen,
                      f"index ≤ {maxlen}", f"index {max_stab}")
     one = Scalar.one(p)
@@ -331,8 +339,11 @@ def suite_cyclicity(p: int, depth: int = 4) -> SuiteReport:
     for k in range(depth + 1):
         with report.guard(f"span(k={k})"):
             basis = cyclicity_basis(p, k)   # self-checking against indicators
-            report.check(f"span(k={k})", len(basis) == p ** k,
-                         f"{p ** k} functions", f"{len(basis)}")
+            # p^k distinct indicators of depth-k cosets cover all of them
+            distinct = len({g.raw for g in basis})
+            report.check(f"span(k={k})", len(basis) == distinct == p ** k,
+                         f"{p ** k} functions",
+                         f"{len(basis)}, {distinct} distinct")
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -352,6 +363,13 @@ def run_suites(name: str, p: int, depth: int = 4, trunc: int = 6,
     if trunc < 1:
         raise ParameterError(f"truncation must be at least 1, got {trunc}")
     longest = min(depth, wide, 3)   # the pairing suite's expansion words
+    # p^b > VALUE_CAP for b = VALUE_CAP.bit_length(), so the min keeps the
+    # test exact without raising p to a huge --depth
+    if name in ("gns", "all") and \
+            p ** min(depth, VALUE_CAP.bit_length()) > VALUE_CAP:
+        raise ParameterError(f"gns depth {depth}: the boundary words' "
+                             f"p^depth = {p}^{depth} values exceed the cap "
+                             f"{VALUE_CAP}")
     if name in ("pairing", "all") and trunc < longest:
         raise ParameterError(f"truncation {trunc} below the pairing "
                              f"suite's basis word length {longest}")

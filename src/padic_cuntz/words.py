@@ -66,3 +66,16 @@ def words_up_to(p: int, n: int) -> Iterator[Word]:
     """All words of length ≤ n, shortest first, lexicographic within length."""
     for k in range(n + 1):
         yield from words_of_length(p, k)
+
+
+def word_at(p: int, index: int) -> Word:
+    """The word at ``index`` in ``words_up_to`` order, without listing."""
+    k, size = 0, 1
+    while index >= size:   # skip the p^k words of each shorter length
+        index -= size
+        k += 1
+        size *= p
+    letters = [0] * k
+    for j in range(k - 1, -1, -1):   # the first letter is the top digit
+        index, letters[j] = divmod(index, p)
+    return tuple(letters)

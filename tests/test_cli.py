@@ -73,6 +73,8 @@ def test_prime_validation(capsys):
     (("gram", "--p", "2", "--maxlen", "-1"),
      "basis length must be nonnegative"),
     (("state", "--p", "4"), "p must be prime"),
+    (("verify", "--p", "2", "--suite", "gns", "--depth", "24"),
+     "2^24 values exceed the cap 10000000"),
 ])
 def test_bad_integers_get_an_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -212,6 +214,17 @@ def test_apply_input_missing_depth(tmp_path, capsys):
                          "--input", str(bad))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "need 2 values" in err
+    for depth, values, message in [
+            (1.0, [["1/1", "0/1", "0/1", "0/1"]] * 2, "got 1.0"),
+            (-1, [], "got -1"),
+            (True, [["1/1", "0/1", "0/1", "0/1"]] * 2, "got True"),
+            (0, [["1/0", "0/1", "0/1", "0/1"]], "ZeroDivisionError")]:
+        bad.write_text(json.dumps({"p": 2, "depth": depth, "values": values}))
+        code, out, err = run(capsys, "apply", "--p", "2", "--ops", "a0*",
+                             "--input", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 def test_verify_reports_a_self_check_error_as_a_failed_case(monkeypatch,

@@ -1,9 +1,14 @@
-"""Word text: digit strings for p ≤ 10, dot-separated letters above."""
+"""Word text (digit strings for p ≤ 10, dot-separated letters above) and
+the order in which words are drawn."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_cuntz import InvalidDigitError, parse_word, word_str
+import padic_cuntz.suites as suites
+from padic_cuntz import (InvalidDigitError, Scalar, parse_word, word_str,
+                         words_of_length, words_up_to)
 
 
 def words(p):
@@ -37,3 +42,27 @@ def test_word_text_examples():
 def test_word_text_rejected(text, p):
     with pytest.raises(InvalidDigitError):
         parse_word(text, p)
+
+
+@pytest.mark.parametrize("p, depth", [(2, 6), (3, 5), (5, 4)])
+def test_gns_samples_are_the_words_choice_draws(monkeypatch, p, depth):
+    # suite_gns decodes random word indices; its samples must be the words
+    # rng.choice draws from the full word lists with the same seed
+    calls = []
+
+    def record(p, I, J):
+        calls.append((I, J))
+        return Scalar.root_p_power(p, -(len(I) + len(J)))
+
+    monkeypatch.setattr(suites, "gns_state", record)
+    assert suites.suite_gns(p, depth, 2000, seed=7).ok()
+    rng = random.Random(7)
+    boundary = list(words_of_length(p, depth))
+    everything = list(words_up_to(p, depth))
+    want = []
+    for _ in range(2000):
+        I, J = rng.choice(boundary), rng.choice(everything)
+        if rng.random() < 0.5:
+            I, J = J, I
+        want.append((I, J))
+    assert calls[-2000:] == want
