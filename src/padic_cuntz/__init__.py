@@ -21,8 +21,8 @@ from .representation import (OperatorWord, apply_annihilation, apply_creation,
                              apply_operator_word, creation_chain,
                              cyclicity_basis, gns_state, parse_operator_word)
 from .scalars import Q, Scalar, format_with_decimal, is_prime, validate_prime
-from .stepfunctions import (VALUE_CAP, DiskAddress, StepFunction, indicator,
-                            l2_inner, make_indicator, word_to_center)
+from .stepfunctions import (VALUE_CAP, StepFunction, coset_index, indicator,
+                            l2_inner, word_to_center)
 from .words import (Word, parse_word, validate_word, word_str,
                     words_of_length, words_up_to)
 

@@ -17,7 +17,7 @@ from .errors import PadicCuntzError
 from .representation import (apply_operator_word, gns_state,
                              parse_operator_word)
 from .scalars import format_with_decimal, is_prime
-from .stepfunctions import StepFunction, make_indicator, word_to_center
+from .stepfunctions import StepFunction, indicator, word_to_center
 from .suites import SUITE_NAMES, run_suites
 from .words import parse_word, word_str
 
@@ -87,7 +87,8 @@ def _emit(data, pretty: bool, render=None) -> None:
 def _load_input(args) -> StepFunction:
     if args.disk is not None:
         word = parse_word(args.disk, args.p)
-        return make_indicator(word_to_center(args.p, word, args.convention))
+        return indicator(args.p,
+                         word_to_center(args.p, word, args.convention))
     if args.input == "one":
         return StepFunction.constant(args.p, 1)
     try:

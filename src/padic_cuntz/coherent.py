@@ -22,8 +22,8 @@ from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
                    create_sum, fock_inner_by_length)
 from .representation import apply_annihilation, apply_creation
 from .scalars import Scalar, validate_prime
-from .stepfunctions import (VALUE_CAP, StepFunction, _check_cap,
-                            make_indicator, word_to_center)
+from .stepfunctions import (VALUE_CAP, StepFunction, _check_cap, coset_index,
+                            indicator)
 from .words import Word, validate_word, words_up_to
 
 
@@ -54,8 +54,7 @@ class CoherentState:
         I = validate_word(I, self.p)
         p, g = self.p, self.generator
         k = min(len(I), g.depth)
-        center = sum(d * p ** j for j, d in enumerate(I[:k]))
-        total = Scalar.sum(p, g.raw[center::p ** k])
+        total = Scalar.sum(p, g.raw[coset_index(p, I[:k])::p ** k])
         return total.mul_root_p_power(g.exp - 2 * max(g.depth, len(I)))
 
     def layer(self, k: int) -> StepFunction:
@@ -123,26 +122,22 @@ def phi_map(s: CoherentState) -> StepFunction:
 
 def indicator_state(p: int, I: Word) -> CoherentState:
     """The distinguished state generated by p^{|I|} × the indicator of disk I."""
-    validate_prime(p)
-    I = validate_word(I, p)
-    gen = make_indicator(word_to_center(p, I, "lsd"))   # × p^{2|I|/2}
-    return CoherentState(StepFunction._raw(p, len(I), gen.raw, 2 * len(I)))
+    gen = indicator(p, I)
+    return CoherentState(gen.mul_root_p_power(2 * gen.depth))
 
 
-def to_fock_truncated(s: CoherentState, N: int,
-                      cap: int = VALUE_CAP) -> FockVector:
+def to_fock_truncated(s: CoherentState, N: int) -> FockVector:
     """Σ_{|I| ≤ N} λ^{|I|} Ψ_I · (word I), truncated at word length N.
 
     Layer (k, k) is ``s.layer(k)``: p^{min(k, depth)} values, not p^k.
     """
-    _check_cap(s.p, min(N, s.depth), cap)
+    _check_cap(s.p, min(N, s.depth))
     layers = {(k, k): f for k in range(N + 1)
               if not (f := s.layer(k)).is_zero()}
     return FockVector._raw(s.p, layers, N, 0)
 
 
-def build_X_truncated(p: int, I: Word, N: int,
-                      cap: int = VALUE_CAP) -> FockVector:
+def build_X_truncated(p: int, I: Word, N: int) -> FockVector:
     """Literal expansion of the distinguished state X_I through length N.
 
     Sums λ^k(p^{−1}ΣA†_i)^k on top of λ^{|I|}A†_IΩ for k ≤ N−|I|, plus the
@@ -166,7 +161,7 @@ def build_X_truncated(p: int, I: Word, N: int,
         cur = annihilate_sum(cur).shift_lambda(-1)
         total = total + cur
 
-    if total != to_fock_truncated(indicator_state(p, I), N, cap):
+    if total != to_fock_truncated(indicator_state(p, I), N):
         raise SelfCheckError(
             f"expansion of X_{I} disagrees with generator coefficients")
     return total
@@ -360,6 +355,11 @@ def gram_matrices(p: int, maxlen: int, margin: int = 2):
     validate_prime(p)
     if maxlen < 0:
         raise ParameterError(f"basis length must be nonnegative, got {maxlen}")
+    # |B| ≥ 2^maxlen, so the min keeps the test exact for a huge maxlen
+    size = sum(p ** k for k in range(min(maxlen, VALUE_CAP.bit_length()) + 1))
+    if size * size > VALUE_CAP:
+        raise ParameterError(f"basis length {maxlen}: the |B|² Gram entries "
+                             f"exceed the cap {VALUE_CAP}")
     basis = list(words_up_to(p, maxlen))
     states = [indicator_state(p, w) for w in basis]
     expanded = [to_fock_truncated(s, maxlen + max(margin, 2)) for s in states]

@@ -23,13 +23,9 @@ from __future__ import annotations
 
 from .errors import CapExceededError, SelfCheckError
 from .scalars import Scalar, validate_prime
-from .stepfunctions import VALUE_CAP, StepFunction, _check_cap
+from .stepfunctions import VALUE_CAP, StepFunction, _check_cap, coset_index
 from .words import (Word, check_letter, parse_word, word_str,
                     words_of_length)
-
-
-def _index(word: Word, p: int) -> int:
-    return sum(d * p ** j for j, d in enumerate(word))
 
 
 def _word(m: int, k: int, p: int) -> Word:
@@ -69,7 +65,7 @@ class FockVector:
             if not isinstance(n, int) or n < 0:
                 raise ValueError("λ exponents must be nonnegative integers")
             if not c.is_zero():
-                grouped.setdefault((len(w), n), {})[_index(w, p)] = c
+                grouped.setdefault((len(w), n), {})[coset_index(p, w)] = c
         zero = Scalar.zero(p)
         self.p = p
         self.layers = {key: StepFunction._raw(p, key[0], tuple(
@@ -120,7 +116,7 @@ class FockVector:
         w = tuple(word)
         if all(isinstance(d, int) and 0 <= d < self.p for d in w):
             for (k, n), f in self.layers.items():
-                c = f.raw[_index(w[:f.depth], self.p)] if k == len(w) else 0
+                c = k == len(w) and f.raw[coset_index(f.p, w[:f.depth])]
                 if c:
                     return n, c.mul_root_p_power(f.exp)
         return 0, Scalar.zero(self.p)
@@ -180,8 +176,7 @@ class FockVector:
 
     def mul_root_p_power(self, e: int) -> "FockVector":
         """Multiply by p^{e/2}: a shift of each layer's √p scale."""
-        return self._with({key: StepFunction._raw(f.p, f.depth, f.raw,
-                                                  f.exp + e)
+        return self._with({key: f.mul_root_p_power(e)
                            for key, f in self.layers.items()})
 
     def shift_lambda(self, k: int) -> "FockVector":
@@ -302,9 +297,9 @@ def create_sum(v: FockVector) -> FockVector:
 def annihilate_sum(v: FockVector) -> FockVector:
     """(Σ_i A_i)·v — every nonempty word stripped of its last letter: the
     top digit summed out, which is ×p = p^{2/2} for a shallower layer."""
-    out = _annihilate(v, lambda k, f: StepFunction._raw(
-        v.p, f.depth, f.raw, f.exp + 2) if f.depth < k else
-        StepFunction._raw(v.p, k - 1, f.coset_sums(k - 1), f.exp))
+    out = _annihilate(v, lambda k, f: f.mul_root_p_power(2) if f.depth < k
+                      else StepFunction._raw(v.p, k - 1, f.coset_sums(k - 1),
+                                             f.exp))
     _check_powers(v.p, out.layers)
     return out
 

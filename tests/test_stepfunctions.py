@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from padic_cuntz import (CapExceededError, DiskAddress, InvalidDigitError,
-                         Scalar, StepFunction, indicator, l2_inner,
+import padic_cuntz.stepfunctions as stepfunctions
+from padic_cuntz import (CapExceededError, InvalidDigitError, Scalar,
+                         StepFunction, coset_index, indicator, l2_inner,
                          word_to_center)
 from padic_cuntz.representation import apply_creation, creation_chain
 from padic_cuntz.suites import random_step_function
@@ -25,7 +26,7 @@ def test_indicator_invalid_digit():
     with pytest.raises(InvalidDigitError):
         indicator(2, [2])
     with pytest.raises(InvalidDigitError):
-        DiskAddress(3, (0, 3))
+        indicator(3, (0, 3))
 
 
 def test_refine_examples():
@@ -107,30 +108,37 @@ def test_depth_one_indicators_partition_unity():
         assert total == StepFunction.constant(p, 1)
 
 
+def test_zero_past_the_cap_is_refused():
+    with pytest.raises(CapExceededError):
+        StepFunction.zero(2, 40)
+
+
 def test_word_to_center_conventions():
     lsd = word_to_center(2, (0, 1), "lsd")
-    assert lsd.digits == (0, 1) and lsd.center == 2
+    assert lsd == (0, 1) and coset_index(2, lsd) == 2
     msd = word_to_center(2, (0, 1), "msd")
-    assert msd.digits == (1, 0) and msd.center == 1
+    assert msd == (1, 0) and coset_index(2, msd) == 1
     # oracle for the msd convention: two creations on the constant function
     # give 2·θ₂ centered at the msd reading of the word
     chain = creation_chain(2, (0, 1))
     support = [n for n, v in enumerate(chain.values) if not v.is_zero()]
-    assert support == [msd.center]
+    assert support == [coset_index(2, msd)]
     empty = word_to_center(3, (), "lsd")
-    assert empty.digits == () and empty.center == 0
-    assert word_to_center(3, (), "msd").digits == ()
+    assert empty == () and coset_index(3, empty) == 0
+    assert word_to_center(3, (), "msd") == ()
     with pytest.raises(ValueError):
         word_to_center(2, (0,), "bsd")
 
 
-def test_semantic_equality_across_depths():
+def test_semantic_equality_across_depths(monkeypatch):
     f = StepFunction.constant(2, Fraction(1, 3))
     assert f == f.refine(3)
     assert not (indicator(2, [0]) == StepFunction.constant(2, 1))
     # the deeper operand has 2^24 values, past the default VALUE_CAP; the
     # shallower one is compared against its fibres, not refined to it
-    deep = apply_creation(0, indicator(2, [0] * 23), cap=10**8)
+    with monkeypatch.context() as m:
+        m.setattr(stepfunctions, "VALUE_CAP", 10**8)
+        deep = apply_creation(0, indicator(2, [0] * 23))
     assert deep.depth == 24
     assert not (StepFunction.constant(2, 1) == deep)
     assert not (deep == StepFunction.constant(2, 1))
