@@ -17,7 +17,7 @@ from .errors import (CapExceededError, InvalidDigitError, InvalidLetterError,
 from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
                    create_sum, fock_annihilate, fock_create, fock_inner,
                    fock_inner_by_length)
-from .representation import (OperatorWord, apply_annihilation, apply_creation,
+from .representation import (apply_annihilation, apply_creation,
                              apply_operator_word, creation_chain,
                              cyclicity_basis, gns_state, parse_operator_word)
 from .scalars import Q, Scalar, format_with_decimal, is_prime, validate_prime

@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import stepfunctions
 from .errors import NotStabilizedError, ParameterError, SelfCheckError
 from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
                    create_sum, fock_inner_by_length)
 from .representation import apply_annihilation, apply_creation
 from .scalars import Scalar, validate_prime
-from .stepfunctions import (VALUE_CAP, StepFunction, _check_cap, coset_index,
-                            indicator)
+from .stepfunctions import StepFunction, coset_index, indicator
 from .words import Word, validate_word, words_up_to
 
 
@@ -131,7 +131,6 @@ def to_fock_truncated(s: CoherentState, N: int) -> FockVector:
 
     Layer (k, k) is ``s.layer(k)``: p^{min(k, depth)} values, not p^k.
     """
-    _check_cap(s.p, min(N, s.depth))
     layers = {(k, k): f for k in range(N + 1)
               if not (f := s.layer(k)).is_zero()}
     return FockVector._raw(s.p, layers, N, 0)
@@ -218,16 +217,15 @@ def _at_root_p(p: int, by_len: dict, kmax: int) -> list[Scalar]:
             for k in range(kmax + 1)]
 
 
-def pairing_series(a: CoherentState, b: CoherentState,
-                   margin: int = 2) -> PairingSeries:
-    """c_k = p^k Σ_{|I|=k} conj(Ψᵃ_I)·Ψᵇ_I, through max depth + margin.
+def pairing_series(a: CoherentState, b: CoherentState) -> PairingSeries:
+    """c_k = p^k Σ_{|I|=k} conj(Ψᵃ_I)·Ψᵇ_I, through max depth + 2.
 
     c_k is the length-k part of ⟨a, b⟩ between the truncated expansions
     at λ = √p: p^{2k} times the L² pairing of the two length-k layers.
     """
     if a.p != b.p:
         raise ValueError("mixed primes in pairing")
-    kmax = max(a.depth, b.depth) + max(margin, 2)
+    kmax = max(a.depth, b.depth) + 2
     return _pair(to_fock_truncated(a, kmax), to_fock_truncated(b, kmax), kmax)
 
 
@@ -303,8 +301,7 @@ def _one_hat(p: int, N: int) -> FockVector:
     return to_fock_truncated(indicator_state(p, ()), N)
 
 
-def af_state_value(p: int, I: Word, J: Word, N: int | None = None,
-                   margin: int = 3) -> Scalar:
+def af_state_value(p: int, I: Word, J: Word, N: int | None = None) -> Scalar:
     """⟨1̂, AF(A†_I A_J) 1̂⟩ via the stabilized per-length series.
 
     1̂ is the truncated expansion of the constant-generator state; the
@@ -314,9 +311,9 @@ def af_state_value(p: int, I: Word, J: Word, N: int | None = None,
     validate_prime(p)
     I = validate_word(I, p)
     J = validate_word(J, p)
+    needed = len(I) + len(J) + 3
     if N is None:
-        N = len(I) + len(J) + margin
-    needed = len(I) + len(J) + max(margin, 2)
+        N = needed
     one_hat = _one_hat(p, N)
     v = one_hat
     for j in reversed(J):   # rightmost factor of AF(A_J) is AF(A_{j_last})
@@ -348,7 +345,7 @@ def af_relation_residual(i: int, s: CoherentState,
     return first, second.shift_lambda(1)
 
 
-def gram_matrices(p: int, maxlen: int, margin: int = 2):
+def gram_matrices(p: int, maxlen: int):
     """Gram data for {X_I : |I| ≤ maxlen} along both routes: (basis words,
     stabilization Gram, L² Gram, equal flag, largest stabilization index).
     The two matrices agreeing is the finite-type isomorphism statement."""
@@ -356,14 +353,15 @@ def gram_matrices(p: int, maxlen: int, margin: int = 2):
     if maxlen < 0:
         raise ParameterError(f"basis length must be nonnegative, got {maxlen}")
     # |B| ≥ 2^maxlen, so the min keeps the test exact for a huge maxlen
-    size = sum(p ** k for k in range(min(maxlen, VALUE_CAP.bit_length()) + 1))
-    if size * size > VALUE_CAP:
+    cap = stepfunctions.VALUE_CAP
+    size = sum(p ** k for k in range(min(maxlen, cap.bit_length()) + 1))
+    if size * size > cap:
         raise ParameterError(f"basis length {maxlen}: the |B|² Gram entries "
-                             f"exceed the cap {VALUE_CAP}")
+                             f"exceed the cap {cap}")
     basis = list(words_up_to(p, maxlen))
     states = [indicator_state(p, w) for w in basis]
-    expanded = [to_fock_truncated(s, maxlen + max(margin, 2)) for s in states]
-    series = [[_pair(va, vb, max(a.depth, b.depth) + max(margin, 2))
+    expanded = [to_fock_truncated(s, maxlen + 2) for s in states]
+    series = [[_pair(va, vb, max(a.depth, b.depth) + 2)
                for b, vb in zip(states, expanded)]
               for a, va in zip(states, expanded)]
     ren = [[s.value for s in row] for row in series]

@@ -21,9 +21,10 @@ not errors.
 
 from __future__ import annotations
 
+from . import stepfunctions
 from .errors import CapExceededError, SelfCheckError
 from .scalars import Scalar, validate_prime
-from .stepfunctions import VALUE_CAP, StepFunction, _check_cap, coset_index
+from .stepfunctions import StepFunction, _check_cap, coset_index
 from .words import (Word, check_letter, parse_word, word_str,
                     words_of_length)
 
@@ -100,8 +101,8 @@ class FockVector:
         built on each access; materializing words is what the cap limits."""
         p = self.p
         count = sum(p ** k for k in self.support_lengths())
-        if count > VALUE_CAP:
-            raise CapExceededError(f"{count} words exceed cap {VALUE_CAP}")
+        if count > (cap := stepfunctions.VALUE_CAP):
+            raise CapExceededError(f"{count} words exceed cap {cap}")
         out = {}
         for (k, n), f in self.layers.items():
             tails = list(words_of_length(p, k - f.depth))

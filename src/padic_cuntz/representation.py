@@ -15,10 +15,7 @@ L² pairing with normalized Haar measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import (InvalidLetterError, OperatorParseError,
-                     SelfCheckError)
+from .errors import OperatorParseError, SelfCheckError
 from .scalars import Scalar, validate_prime
 from .stepfunctions import StepFunction, _check_cap, indicator
 from .words import (Word, check_letter, validate_word, word_str,
@@ -46,33 +43,9 @@ def apply_annihilation(i: int, f: StepFunction) -> StepFunction:
     return StepFunction._raw(p, f.depth - 1, f.raw[i::p], f.exp - 1)
 
 
-@dataclass(frozen=True)
-class OperatorWord:
-    """A product of ladder factors; factors[0] is outermost (applied last)."""
-
-    factors: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        for kind, letter in self.factors:
-            if kind not in (CREATE, ANNIHILATE):
-                raise ValueError(f"unknown factor kind {kind!r}")
-            if not isinstance(letter, int) or letter < 0:
-                raise InvalidLetterError(f"bad letter {letter!r}")
-
-    def __str__(self):
-        return " ".join(f"a{letter}*" if kind == CREATE else f"a{letter}"
-                        for kind, letter in self.factors)
-
-    @classmethod
-    def state_monomial(cls, I: Word, J: Word) -> "OperatorWord":
-        """A†_I A_J: creators for I (last letter outermost), then A_J = (A†_J)†."""
-        creators = tuple((CREATE, i) for i in reversed(I))
-        annihilators = tuple((ANNIHILATE, j) for j in J)
-        return cls(creators + annihilators)
-
-
-def parse_operator_word(text: str) -> OperatorWord:
-    """Parse 'a1* a0* a1' (leftmost factor outermost, * marks creators)."""
+def parse_operator_word(text: str) -> tuple[tuple[str, int], ...]:
+    """Parse 'a1* a0* a1' into (kind, letter) factors, leftmost outermost;
+    * marks creators."""
     factors = []
     pos = 0
     n = len(text)
@@ -83,10 +56,9 @@ def parse_operator_word(text: str) -> OperatorWord:
         if text[pos] != "a":
             raise OperatorParseError(
                 f"expected 'a', found {text[pos]!r}", pos)
-        start = pos
         pos += 1
         digits = ""
-        while pos < n and text[pos].isdigit():
+        while pos < n and "0" <= text[pos] <= "9":
             digits += text[pos]
             pos += 1
         if not digits:
@@ -99,16 +71,19 @@ def parse_operator_word(text: str) -> OperatorWord:
             raise OperatorParseError(
                 f"unexpected character {text[pos]!r}", pos)
         factors.append((kind, int(digits)))
-    return OperatorWord(tuple(factors))
+    return tuple(factors)
 
 
-def apply_operator_word(w: OperatorWord, f: StepFunction) -> StepFunction:
-    """Compose the factors right-to-left (last factor acts first)."""
-    for kind, letter in reversed(w.factors):
+def apply_operator_word(factors: tuple[tuple[str, int], ...],
+                        f: StepFunction) -> StepFunction:
+    """Compose (kind, letter) factors right-to-left (last acts first)."""
+    for kind, letter in reversed(factors):
         if kind == CREATE:
             f = apply_creation(letter, f)
-        else:
+        elif kind == ANNIHILATE:
             f = apply_annihilation(letter, f)
+        else:
+            raise ValueError(f"unknown factor kind {kind!r}")
     return f
 
 
@@ -131,9 +106,10 @@ def gns_state(p: int, I: Word, J: Word) -> Scalar:
     validate_prime(p)
     I = validate_word(I, p)
     J = validate_word(J, p)
-    word = OperatorWord.state_monomial(I, J)
-    result = apply_operator_word(word, StepFunction.constant(p, 1))
-    value = result.integrate()
+    f = StepFunction.constant(p, 1)
+    for j in reversed(J):   # A_J: its last letter acts first
+        f = apply_annihilation(j, f)
+    value = creation_chain(p, I, f).integrate()
     expected = Scalar.root_p_power(p, -(len(I) + len(J)))
     if value != expected:
         raise SelfCheckError(

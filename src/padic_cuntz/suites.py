@@ -15,16 +15,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, partial
 
+from . import stepfunctions
 from .coherent import (CoherentState, af_relation_residual, af_state_value,
                        build_X_truncated, eigen_residual, gram_matrices,
                        indicator_state, leibnitz_residuals, pairing_series,
                        phi_map, renormalized_pairing, t_dagger, t_dagger_fock,
                        t_op, t_op_fock, to_fock_truncated)
-from .errors import NotStabilizedError, ParameterError, SelfCheckError
+from .errors import (CapExceededError, NotStabilizedError, ParameterError,
+                     SelfCheckError)
 from .representation import (apply_annihilation, apply_creation,
                              cyclicity_basis, gns_state)
 from .scalars import Scalar, validate_prime
-from .stepfunctions import VALUE_CAP, StepFunction
+from .stepfunctions import StepFunction, _check_cap
 from .words import word_at, word_str, words_up_to
 
 SUITE_NAMES = ("cuntz", "gns", "pairing", "trep", "af", "all")
@@ -363,13 +365,13 @@ def run_suites(name: str, p: int, depth: int = 4, trunc: int = 6,
     if trunc < 1:
         raise ParameterError(f"truncation must be at least 1, got {trunc}")
     longest = min(depth, wide, 3)   # the pairing suite's expansion words
-    # p^b > VALUE_CAP for b = VALUE_CAP.bit_length(), so the min keeps the
-    # test exact without raising p to a huge --depth
-    if name in ("gns", "all") and \
-            p ** min(depth, VALUE_CAP.bit_length()) > VALUE_CAP:
-        raise ParameterError(f"gns depth {depth}: the boundary words' "
-                             f"p^depth = {p}^{depth} values exceed the cap "
-                             f"{VALUE_CAP}")
+    if name in ("gns", "all"):
+        try:
+            _check_cap(p, depth)
+        except CapExceededError:
+            raise ParameterError(f"gns depth {depth}: the boundary words' "
+                                 f"p^depth = {p}^{depth} values exceed the "
+                                 f"cap {stepfunctions.VALUE_CAP}") from None
     if name in ("pairing", "all") and trunc < longest:
         raise ParameterError(f"truncation {trunc} below the pairing "
                              f"suite's basis word length {longest}")

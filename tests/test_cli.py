@@ -77,6 +77,8 @@ def test_prime_validation(capsys):
      "2^24 values exceed the cap 10000000"),
     (("gram", "--p", "2", "--maxlen", "40"),
      "Gram entries exceed the cap 10000000"),
+    (("apply", "--p", "3", "--ops", "a²"),
+     "expected a letter index after 'a' (at position 1)"),
 ])
 def test_bad_integers_get_an_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

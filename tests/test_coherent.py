@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from padic_cuntz import (CapExceededError, CoherentState,
-                         NotStabilizedError, Q, Scalar, StepFunction,
-                         af_relation_residual, af_state_value,
+                         NotStabilizedError, ParameterError, Q, Scalar,
+                         StepFunction, af_relation_residual, af_state_value,
                          apply_annihilation, apply_creation,
                          build_X_truncated, eigen_residual,
                          fock_inner_by_length, gram_matrices, indicator,
@@ -15,7 +15,9 @@ from padic_cuntz import (CapExceededError, CoherentState,
                          pairing_series, phi_map, renormalized_pairing,
                          t_dagger, t_dagger_fock, t_op, t_op_fock,
                          to_fock_truncated, words_of_length, words_up_to)
-from padic_cuntz.suites import random_coherent_state, random_step_function
+from padic_cuntz import stepfunctions
+from padic_cuntz.suites import (random_coherent_state, random_step_function,
+                                run_suites)
 
 
 def test_coefficient_examples():
@@ -351,3 +353,15 @@ def test_expansion_cap_follows_what_is_built():
         v.to_json()
     with pytest.raises(CapExceededError):
         r.terms
+
+
+def test_every_cap_is_read_at_call_time(monkeypatch):
+    # a cap lowered after import binds the Gram, gns-depth and word limits
+    monkeypatch.setattr(stepfunctions, "VALUE_CAP", 100)
+    with pytest.raises(ParameterError):
+        gram_matrices(2, 3)             # |B|² = 15² entries
+    with pytest.raises(ParameterError):
+        run_suites("gns", 2, depth=7)   # 2^7 boundary values
+    v = to_fock_truncated(indicator_state(2, ()), 7)
+    with pytest.raises(CapExceededError):
+        v.terms                         # 2^8 − 1 = 255 words

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from padic_cuntz import (InvalidLetterError, OperatorParseError, OperatorWord,
-                         Scalar, StepFunction, apply_annihilation,
+from padic_cuntz import (InvalidLetterError, OperatorParseError, Scalar,
+                         StepFunction, apply_annihilation,
                          apply_creation, apply_operator_word, creation_chain,
                          cyclicity_basis, gns_state, indicator, l2_inner,
                          parse_operator_word, words_up_to)
@@ -46,10 +46,9 @@ def test_annihilation_examples():
 
 
 def test_operator_word_parsing():
-    w = parse_operator_word("a1* a0* a1")
-    assert w.factors == ((CREATE, 1), (CREATE, 0), (ANNIHILATE, 1))
-    assert str(w) == "a1* a0* a1"
-    assert parse_operator_word("").factors == ()
+    assert parse_operator_word("a1* a0* a1") == \
+        ((CREATE, 1), (CREATE, 0), (ANNIHILATE, 1))
+    assert parse_operator_word("") == ()
     with pytest.raises(OperatorParseError) as err:
         parse_operator_word("a1* b0")
     assert err.value.position == 4
@@ -57,6 +56,10 @@ def test_operator_word_parsing():
         parse_operator_word("a* a1")
     with pytest.raises(OperatorParseError):
         parse_operator_word("a1*x")
+    for text in ("a²", "a١*"):   # only ASCII digits are letter indices
+        with pytest.raises(OperatorParseError) as err:
+            parse_operator_word(text)
+        assert err.value.position == 1
 
 
 def test_apply_operator_word_examples():
@@ -71,6 +74,8 @@ def test_apply_operator_word_examples():
     assert out == indicator(2, [1, 0]).scale(Scalar.rational(2, 2))
     with pytest.raises(InvalidLetterError):
         apply_operator_word(parse_operator_word("a7"), f)
+    with pytest.raises(ValueError, match="unknown factor kind"):
+        apply_operator_word((("bogus", 0),), f)
 
 
 def test_cuntz_relation_one():
@@ -140,7 +145,8 @@ def test_state_positivity():
                 c = Scalar(p, Fraction(rng.randint(-5, 5)),
                            Fraction(rng.randint(-2, 2)),
                            Fraction(rng.randint(-3, 3)), 0)
-                w = OperatorWord.state_monomial(I, J)
+                w = tuple((CREATE, i) for i in reversed(I)) + \
+                    tuple((ANNIHILATE, j) for j in J)   # A†_I A_J
                 one = StepFunction.constant(p, 1)
                 v = v + apply_operator_word(w, one).scale(c)
             norm = l2_inner(v, v)
@@ -166,7 +172,7 @@ def test_cyclicity_examples():
 def test_creation_chain_matches_word_application():
     for p in (2, 3):
         for I in words_up_to(p, 3):
-            w = OperatorWord.state_monomial(I, ())
+            w = tuple((CREATE, i) for i in reversed(I))   # A†_I
             assert creation_chain(p, I) == \
                 apply_operator_word(w, StepFunction.constant(p, 1))
 
