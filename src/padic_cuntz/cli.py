@@ -183,12 +183,12 @@ def cmd_apply(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not is_prime(args.p):
-        print("error: p must be prime", file=sys.stderr)
-        return 2
     handlers = {"verify": cmd_verify, "state": cmd_state, "pair": cmd_pair,
                 "gram": cmd_gram, "apply": cmd_apply}
     try:
+        if not is_prime(args.p):
+            print("error: p must be prime", file=sys.stderr)
+            return 2
         return handlers[args.command](args)
     except PadicCuntzError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,22 +81,6 @@ class CoherentState:
             return NotImplemented
         return CoherentState(self.generator + other.generator)
 
-    def __sub__(self, other):
-        if not isinstance(other, CoherentState):
-            return NotImplemented
-        return CoherentState(self.generator - other.generator)
-
-    def scale(self, c) -> "CoherentState":
-        return CoherentState(self.generator.scale(c))
-
-    def __mul__(self, other):
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, CoherentState):
             return NotImplemented
@@ -104,15 +88,6 @@ class CoherentState:
 
     def __repr__(self):
         return f"<CoherentState {self.generator!r}>"
-
-    def to_json(self) -> dict:
-        data = self.generator.to_json()
-        data["kind"] = "coherent"
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CoherentState":
-        return cls(StepFunction.from_json(data))
 
 
 def phi_map(s: CoherentState) -> StepFunction:
@@ -190,11 +165,6 @@ class PairingSeries:
     stabilized_at: int
     value: Scalar
 
-    def to_json(self) -> dict:
-        return {"terms": [t.to_json() for t in self.terms],
-                "stabilized_at": self.stabilized_at,
-                "value": self.value.to_json()}
-
 
 def _stabilize(terms: list[Scalar], context: str) -> tuple[int, Scalar]:
     """Smallest k₀ with terms[k₀:] constant; needs ≥ 2 corroborating terms."""
@@ -210,13 +180,6 @@ def _stabilize(terms: list[Scalar], context: str) -> tuple[int, Scalar]:
     return k0, tail
 
 
-def _at_root_p(p: int, by_len: dict, kmax: int) -> list[Scalar]:
-    """Each length's λ-polynomial at λ = √p, Σ c·p^{n/2}, for 0..kmax."""
-    return [Scalar.sum(p, [c.mul_root_p_power(n)
-                           for n, c in by_len.get(k, {}).items()])
-            for k in range(kmax + 1)]
-
-
 def pairing_series(a: CoherentState, b: CoherentState) -> PairingSeries:
     """c_k = p^k Σ_{|I|=k} conj(Ψᵃ_I)·Ψᵇ_I, through max depth + 2.
 
@@ -226,14 +189,15 @@ def pairing_series(a: CoherentState, b: CoherentState) -> PairingSeries:
     if a.p != b.p:
         raise ValueError("mixed primes in pairing")
     kmax = max(a.depth, b.depth) + 2
-    return _pair(to_fock_truncated(a, kmax), to_fock_truncated(b, kmax), kmax)
+    return _series([a.layer(k) for k in range(kmax + 1)],
+                   [b.layer(k) for k in range(kmax + 1)], kmax)
 
 
-def _pair(va: FockVector, vb: FockVector, kmax: int) -> PairingSeries:
-    """The pairing series of two expansions, read through length kmax."""
-    by_len = fock_inner_by_length(va.restrict_lengths(hi=kmax),
-                                  vb.restrict_lengths(hi=kmax))
-    terms = _at_root_p(va.p, by_len, kmax)
+def _series(la: list, lb: list, kmax: int) -> PairingSeries:
+    """The pairing series of two states' layer lists, through length kmax:
+    c_k = p^{2k}·⟨la[k], lb[k]⟩, one √p rescale per length."""
+    terms = [la[k].inner(lb[k]).mul_root_p_power(4 * k)
+             for k in range(kmax + 1)]
     k0, value = _stabilize(terms, "renormalized pairing")
     return PairingSeries(tuple(terms), k0, value)
 
@@ -321,9 +285,11 @@ def af_state_value(p: int, I: Word, J: Word, N: int | None = None) -> Scalar:
     for i in I:             # rightmost factor of AF(A†_I) is AF(A†_{i₀})
         v = af_create(i, v)
     by_len = fock_inner_by_length(one_hat, v)
+    terms = [Scalar.sum(p, [c.mul_root_p_power(n)   # each length at λ = √p
+                            for n, c in by_len.get(k, {}).items()])
+             for k in range(max(by_len, default=0) + 1)]
     try:
-        _, value = _stabilize(_at_root_p(p, by_len, max(by_len, default=0)),
-                              "antifock state series")
+        _, value = _stabilize(terms, "antifock state series")
     except NotStabilizedError:
         raise NotStabilizedError(
             f"antifock series did not stabilize at N={N}; "
@@ -360,10 +326,10 @@ def gram_matrices(p: int, maxlen: int):
                              f"exceed the cap {cap}")
     basis = list(words_up_to(p, maxlen))
     states = [indicator_state(p, w) for w in basis]
-    expanded = [to_fock_truncated(s, maxlen + 2) for s in states]
-    series = [[_pair(va, vb, max(a.depth, b.depth) + 2)
-               for b, vb in zip(states, expanded)]
-              for a, va in zip(states, expanded)]
+    layers = [[s.layer(k) for k in range(maxlen + 3)] for s in states]
+    series = [[_series(la, lb, max(a.depth, b.depth) + 2)
+               for b, lb in zip(states, layers)]
+              for a, la in zip(states, layers)]
     ren = [[s.value for s in row] for row in series]
     l2 = [[phi_map(a).inner(phi_map(b)) for b in states] for a in states]
     max_stab = max(s.stabilized_at for row in series for s in row)

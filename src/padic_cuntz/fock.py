@@ -25,8 +25,7 @@ from . import stepfunctions
 from .errors import CapExceededError, SelfCheckError
 from .scalars import Scalar, validate_prime
 from .stepfunctions import StepFunction, _check_cap, coset_index
-from .words import (Word, check_letter, parse_word, word_str,
-                    words_of_length)
+from .words import Word, check_letter, word_str, words_of_length
 
 
 def _word(m: int, k: int, p: int) -> Word:
@@ -204,19 +203,6 @@ class FockVector:
         return {"p": self.p,
                 "terms": {word_str(w, self.p): {str(n): c.to_json()}
                           for w, (n, c) in items}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FockVector":
-        p = validate_prime(data["p"])
-        terms = {}
-        for key, poly in data["terms"].items():
-            if len(poly) > 1:
-                raise ValueError(
-                    f"word {key!r} has {len(poly)} λ-exponents "
-                    f"{sorted(poly)}; a Fock term is one monomial")
-            for n, c in poly.items():
-                terms[parse_word(key, p)] = (int(n), Scalar.from_json(p, c))
-        return cls(p, terms)
 
 
 def _create(v: FockVector, layer, letters: int = 1) -> FockVector:

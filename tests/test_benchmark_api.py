@@ -6,14 +6,15 @@ benchmark case fail, so they are pinned here.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import padic_cuntz
 import padic_cuntz.cli
 import padic_cuntz.scalars
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / \
-    "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _names_called_on_P() -> set[str]:
@@ -34,3 +35,17 @@ def test_run_names_exist():
     assert isinstance(padic_cuntz.__version__, str)
     assert padic_cuntz.scalars.Q.__name__ == "Fraction"
     assert callable(padic_cuntz.cli.main)
+
+
+def test_one_library_round_passes(monkeypatch):
+    # every method the cases call on a result (not only the P.<name>
+    # lookups above) must still exist and give the reference values
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    cases = workloads.build("library", workloads.make_spec("library", 1))
+    tally = workloads.Tally()
+    for case in cases:
+        workloads.run_case(tally, case)
+    assert tally.notes == []
+    assert tally.failed == tally.wrong == 0
+    assert tally.attempted > 0

@@ -79,12 +79,21 @@ def test_prime_validation(capsys):
      "Gram entries exceed the cap 10000000"),
     (("apply", "--p", "3", "--ops", "a²"),
      "expected a letter index after 'a' (at position 1)"),
+    (("state", "--p", "3317044064679887385961981"),
+     "the primality test is not exact"),
 ])
 def test_bad_integers_get_an_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_state_at_a_large_prime(capsys):
+    code, out, err = run(capsys, "state", "--p", "2305843009213693951",
+                         "--pretty")
+    assert code == 0 and err == ""
+    assert out.strip() == "1"
 
 
 def test_verify_json_report(capsys):

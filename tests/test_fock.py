@@ -263,16 +263,11 @@ def test_json_round_trip():
     rng = random.Random(18)
     v = random_vector(rng, 3)
     data = v.to_json()
-    assert FockVector.from_json(data) == v
     assert list(data["terms"]) == sorted(data["terms"],
                                          key=lambda w: (len(w), w))
     lam = FockVector.basis(2, (1, 0)).shift_lambda(3)
     assert lam.to_json() == {
         "p": 2, "terms": {"10": {"3": ["1/1", "0/1", "0/1", "0/1"]}}}
-    two = {"p": 2, "terms": {"1": {"0": ["1/1", "0/1", "0/1", "0/1"],
-                                   "2": ["1/1", "0/1", "0/1", "0/1"]}}}
-    with pytest.raises(ValueError, match="one monomial"):
-        FockVector.from_json(two)
 
 
 @pytest.mark.parametrize("p", [11, 13])
@@ -283,7 +278,7 @@ def test_json_keys_for_two_digit_letters(p):
                        (p - 1, 0, 1): (3, Scalar.one(p))})
     data = v.to_json()
     assert list(data["terms"]) == ["10", "1.0", f"{p - 1}.0.1"]
-    assert FockVector.from_json(data) == v
+    assert data == ref_json(p, ref_terms(v))
 
 
 def test_inner_by_length_multi_power_coefficients():
@@ -491,7 +486,6 @@ def test_layered_operators_match_the_word_reference(p):
         assert v.support_lengths() == {len(word) for word in tv}
         assert v.is_zero() == (not tv)
         assert v.to_json() == ref_json(p, tv)
-        assert FockVector.from_json(v.to_json()) == v
         assert FockVector(p, tv) == v
         assert (v == w) == (tv == tw)
         # both ladder pairs, with the spill at the truncation

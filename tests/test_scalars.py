@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_cuntz import NotPrimeError, Q, Scalar, is_prime, validate_prime
+from padic_cuntz import (NotPrimeError, ParameterError, Q, Scalar, is_prime,
+                         validate_prime)
 from padic_cuntz.scalars import format_with_decimal
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -28,6 +29,26 @@ def test_primality():
     with pytest.raises(NotPrimeError):
         validate_prime(4)
     assert validate_prime(101) == 101
+
+
+def test_primality_matches_trial_division():
+    small = [d for d in range(2, 448) if all(d % e for e in range(2, d))]
+    for n in range(200_000):
+        expect = n >= 2 and all(n % d for d in small
+                                if d * d <= n and d < n)
+        assert is_prime(n) == expect, n
+
+
+def test_primality_of_large_numbers():
+    # composites that are strong pseudoprimes to the bases up to 7, up to
+    # 31, and up to 37 (twelve bases; only base 41 catches the last)
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 31 - 1) and is_prime(2 ** 61 - 1)
+    # past the proven bound the test refuses rather than guesses
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(ParameterError):
+            is_prime(n)
 
 
 def test_root_p_square_reduces():
