@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(data, pretty: bool, render=None) -> None:
-    if pretty and render is not None:
+def _emit(data, pretty: bool, render) -> None:
+    if pretty:
         print(render())
     else:
         print(json.dumps(data, ensure_ascii=False))
@@ -190,10 +190,7 @@ def main(argv=None) -> int:
             print("error: p must be prime", file=sys.stderr)
             return 2
         return handlers[args.command](args)
-    except PadicCuntzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PadicCuntzError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import stepfunctions
 from .errors import NotStabilizedError, ParameterError, SelfCheckError
 from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
-                   create_sum, fock_inner_by_length)
+                   create_sum)
 from .representation import apply_annihilation, apply_creation
 from .scalars import Scalar, validate_prime
 from .stepfunctions import StepFunction, coset_index, indicator
@@ -166,20 +166,6 @@ class PairingSeries:
     value: Scalar
 
 
-def _stabilize(terms: list[Scalar], context: str) -> tuple[int, Scalar]:
-    """Smallest k₀ with terms[k₀:] constant; needs ≥ 2 corroborating terms."""
-    if len(terms) < 2:
-        raise NotStabilizedError(f"{context}: series too short to stabilize")
-    tail = terms[-1]
-    k0 = len(terms) - 1
-    while k0 > 0 and terms[k0 - 1] == tail:
-        k0 -= 1
-    if k0 >= len(terms) - 1:
-        raise NotStabilizedError(
-            f"{context}: no constant tail in {len(terms)} terms")
-    return k0, tail
-
-
 def pairing_series(a: CoherentState, b: CoherentState) -> PairingSeries:
     """c_k = p^k Σ_{|I|=k} conj(Ψᵃ_I)·Ψᵇ_I, through max depth + 2.
 
@@ -194,12 +180,18 @@ def pairing_series(a: CoherentState, b: CoherentState) -> PairingSeries:
 
 
 def _series(la: list, lb: list, kmax: int) -> PairingSeries:
-    """The pairing series of two states' layer lists, through length kmax:
-    c_k = p^{2k}·⟨la[k], lb[k]⟩, one √p rescale per length."""
-    terms = [la[k].inner(lb[k]).mul_root_p_power(4 * k)
+    """The series of two layer lists through length kmax, c_k =
+    p^{2k}·⟨la[k], lb[k]⟩, stabilized at the smallest k₀ with c_{k₀} = … =
+    c_kmax: ≥ 2 corroborating terms.  The p^{2k} joins lb[k]'s exponent,
+    so ``inner``'s rescale is the only one per length."""
+    terms = [la[k].inner(lb[k].mul_root_p_power(4 * k))
              for k in range(kmax + 1)]
-    k0, value = _stabilize(terms, "renormalized pairing")
-    return PairingSeries(tuple(terms), k0, value)
+    k0 = kmax
+    while k0 > 0 and terms[k0 - 1] == terms[kmax]:
+        k0 -= 1
+    if k0 == kmax:
+        raise NotStabilizedError(f"no constant tail in {kmax + 1} terms")
+    return PairingSeries(tuple(terms), k0, terms[kmax])
 
 
 def renormalized_pairing(a: CoherentState, b: CoherentState) -> Scalar:
@@ -278,23 +270,24 @@ def af_state_value(p: int, I: Word, J: Word, N: int | None = None) -> Scalar:
     needed = len(I) + len(J) + 3
     if N is None:
         N = needed
-    one_hat = _one_hat(p, N)
-    v = one_hat
+    one_hat = v = _one_hat(p, N)
     for j in reversed(J):   # rightmost factor of AF(A_J) is AF(A_{j_last})
         v = af_annihilate(j, v)
     for i in I:             # rightmost factor of AF(A†_I) is AF(A†_{i₀})
         v = af_create(i, v)
-    by_len = fock_inner_by_length(one_hat, v)
-    terms = [Scalar.sum(p, [c.mul_root_p_power(n)   # each length at λ = √p
-                            for n, c in by_len.get(k, {}).items()])
-             for k in range(max(by_len, default=0) + 1)]
+    # each AF(A_j) raises λ's exponent over the length by one, each AF(A†_i)
+    # lowers it: length k carries λ^{k+s}, which is p^{s/2}·λ^k at λ = √p
+    s, zero = len(J) - len(I), StepFunction.zero(p)
+    kmax = max(v.support_lengths(), default=0)
+    la = [one_hat.layers[(k, k)] for k in range(kmax + 1)]
+    lb = [v.layers.get((k, k + s), zero).mul_root_p_power(s)
+          for k in range(kmax + 1)]
     try:
-        _, value = _stabilize(terms, "antifock state series")
+        return _series(la, lb, kmax).value
     except NotStabilizedError:
         raise NotStabilizedError(
             f"antifock series did not stabilize at N={N}; "
             f"need N ≥ {needed}") from None
-    return value
 
 
 def af_relation_residual(i: int, s: CoherentState,

@@ -56,7 +56,7 @@ class FockVector:
 
     def __init__(self, p: int,
                  terms: dict[Word, tuple[int, Scalar]] | None = None,
-                 truncation: int | None = None, spilled: int = 0):
+                 truncation: int | None = None):
         validate_prime(p)
         grouped: dict[tuple[int, int], dict[int, Scalar]] = {}
         for w, (n, c) in (terms or {}).items():
@@ -72,7 +72,7 @@ class FockVector:
             vals.get(m, zero) for m in range(_check_cap(p, key[0]))))
             for key, vals in grouped.items()}
         self.truncation = truncation
-        self.spilled = spilled
+        self.spilled = 0
 
     @classmethod
     def _raw(cls, p, layers, truncation, spilled) -> "FockVector":
@@ -130,11 +130,10 @@ class FockVector:
     def _with(self, layers: dict) -> "FockVector":
         return FockVector._raw(self.p, layers, self.truncation, self.spilled)
 
-    def restrict_lengths(self, lo: int = 0,
-                         hi: int | None = None) -> "FockVector":
-        """Sub-vector with word lengths in [lo, hi]."""
+    def restrict_lengths(self, lo: int) -> "FockVector":
+        """Sub-vector with word lengths ≥ lo."""
         return self._with({key: f for key, f in self.layers.items()
-                           if lo <= key[0] and (hi is None or key[0] <= hi)})
+                           if lo <= key[0]})
 
     def with_truncation(self, truncation: int | None) -> "FockVector":
         """Same coefficients under a different creation-truncation length."""

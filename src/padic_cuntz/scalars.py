@@ -434,13 +434,13 @@ class Scalar:
         return cls(p, *data)
 
 
-def format_with_decimal(s: Scalar, digits: int = 8) -> str:
+def format_with_decimal(s: Scalar) -> str:
     """Exact form, with a decimal annotation when the value is irrational."""
     out = s.pretty()
     if not s.is_rational():
         z = s.to_complex()
         if z.imag == 0:
-            out += f" ≈ {z.real:.{digits}f}"
+            out += f" ≈ {z.real:.8f}"
         else:
-            out += f" ≈ {z.real:.{digits}f}{z.imag:+.{digits}f}i"
+            out += f" ≈ {z.real:.8f}{z.imag:+.8f}i"
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ParameterError
 from .scalars import Scalar, validate_prime
 from .words import Word, validate_word
 
@@ -25,10 +25,13 @@ def _check_cap(p: int, depth: int) -> int:
     """p^depth, or CapExceededError past ``VALUE_CAP`` (read at call time).
 
     p ≥ 2, so p^depth exceeds the cap once depth > VALUE_CAP.bit_length():
-    such a depth is refused without building the power.
+    such a depth is refused without building the power.  A negative depth
+    raises ParameterError.
     """
-    size = p ** depth if depth <= VALUE_CAP.bit_length() else None
+    size = p ** depth if 0 <= depth <= VALUE_CAP.bit_length() else None
     if size is None or size > VALUE_CAP:
+        if depth < 0:
+            raise ParameterError(f"depth must be nonnegative, got {depth}")
         raise CapExceededError(
             f"p^depth = {p}^{depth} values exceeds cap {VALUE_CAP}")
     return size
@@ -100,6 +103,8 @@ class StepFunction:
     def constant(cls, p: int, value=1) -> "StepFunction":
         validate_prime(p)
         v = value if isinstance(value, Scalar) else Scalar.rational(p, value)
+        if v.p != p:
+            raise ValueError("value prime does not match function prime")
         return cls._raw(p, 0, (v,))
 
     @classmethod

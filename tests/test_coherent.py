@@ -7,7 +7,8 @@ import pytest
 
 from padic_cuntz import (CapExceededError, CoherentState,
                          NotStabilizedError, ParameterError, Q, Scalar,
-                         StepFunction, af_relation_residual, af_state_value,
+                         StepFunction, af_annihilate, af_create,
+                         af_relation_residual, af_state_value,
                          apply_annihilation, apply_creation,
                          build_X_truncated, eigen_residual,
                          fock_inner_by_length, gram_matrices, indicator,
@@ -304,6 +305,25 @@ def test_af_state_examples():
     with pytest.raises(NotStabilizedError) as err:
         af_state_value(3, (0, 1), (2,), N=2)
     assert "need N ≥" in str(err.value)
+
+
+def test_af_state_value_matches_the_fock_inner_product():
+    # the layer route against the λ-polynomial inner product ⟨1̂, v⟩ with
+    # v = AF(A†_I A_J)1̂, each length evaluated at λ = √p
+    for p, longest in ((2, 2), (3, 2), (5, 1)):
+        for I in words_up_to(p, longest):
+            for J in words_up_to(p, longest):
+                one_hat = v = to_fock_truncated(
+                    indicator_state(p, ()), len(I) + len(J) + 3)
+                for j in reversed(J):
+                    v = af_annihilate(j, v)
+                for i in I:
+                    v = af_create(i, v)
+                by_len = fock_inner_by_length(one_hat, v)
+                terms = [Scalar.sum(p, [c.mul_root_p_power(n)
+                                        for n, c in by_len.get(k, {}).items()])
+                         for k in range(max(by_len) + 1)]
+                assert terms[-2] == terms[-1] == af_state_value(p, I, J)
 
 
 def test_af_relation_residuals():

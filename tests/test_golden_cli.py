@@ -37,6 +37,11 @@ def commands() -> list[list[str]]:
         out.append(["apply", "--p", "3", "--ops", "a0*", "--disk", "12",
                     "--center-convention", convention])
     out.append(["apply", "--p", "11", "--ops", "a10* a10", "--disk", "10.3"])
+    out.append(["state", "--p", "3", "--I", "01", "--J", "2", "--pretty"])
+    out.append(["pair", "--p", "3", "--I", "0", "--J", "01", "--pretty"])
+    out.append(["gram", "--p", "3", "--maxlen", "1", "--pretty"])
+    out.append(["apply", "--p", "3", "--ops", "a0* a1", "--disk", "12",
+                "--pretty"])
     return out
 
 

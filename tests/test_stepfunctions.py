@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 import padic_cuntz.stepfunctions as stepfunctions
-from padic_cuntz import (CapExceededError, InvalidDigitError, Scalar,
-                         StepFunction, coset_index, indicator, l2_inner,
-                         word_to_center)
+from padic_cuntz import (CapExceededError, InvalidDigitError, ParameterError,
+                         Scalar, StepFunction, coset_index, cyclicity_basis,
+                         indicator, l2_inner, word_to_center)
 from padic_cuntz.representation import apply_creation, creation_chain
 from padic_cuntz.suites import random_step_function
 
@@ -111,6 +111,21 @@ def test_depth_one_indicators_partition_unity():
 def test_zero_past_the_cap_is_refused():
     with pytest.raises(CapExceededError):
         StepFunction.zero(2, 40)
+
+
+def test_a_negative_depth_is_a_parameter_error():
+    for build in (StepFunction.zero, cyclicity_basis):
+        with pytest.raises(ParameterError,
+                           match="depth must be nonnegative, got -1"):
+            build(2, -1)
+
+
+def test_value_prime_must_match_function_prime():
+    for build in (lambda: StepFunction.constant(3, Scalar.one(2)),
+                  lambda: StepFunction(3, 0, [Scalar.one(2)])):
+        with pytest.raises(ValueError,
+                           match="value prime does not match function prime"):
+            build()
 
 
 def test_word_to_center_conventions():
