@@ -14,8 +14,8 @@ turning the λ → √p−0 limit into an assertable identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import stepfunctions
 from .errors import NotStabilizedError, ParameterError, SelfCheckError
@@ -154,8 +154,7 @@ def eigen_residual(s: CoherentState, N: int) -> FockVector:
 # -- the renormalized pairing as an exact stabilization limit -----------------
 
 
-@dataclass(frozen=True)
-class PairingSeries:
+class PairingSeries(NamedTuple):
     """Per-word-length contributions c_k with λ² evaluated at p: constant
     from the larger generator depth on, where the stabilized value is the
     renormalized pairing (the Abel limit of an eventually constant series).

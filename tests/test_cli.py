@@ -1,6 +1,7 @@
 """CLI surface: determinism, exit codes, JSON round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -81,9 +82,18 @@ def test_prime_validation(capsys):
      "expected a letter index after 'a' (at position 1)"),
     (("state", "--p", "3317044064679887385961981"),
      "the primality test is not exact"),
+    (("verify", "--p", "2305843009213693951", "--suite", "af"),
+     "af suite: 2305843009213693952 words of length ≤ 1 exceed the cap"),
+    (("verify", "--p", "2305843009213693951", "--suite", "trep"),
+     "trep suite: 5316911983139663489309385231907684353 words of length ≤ 2 "
+     "exceed the cap"),
+    (("verify", "--p", "2305843009213693951", "--suite", "cuntz"),
+     "values exceeds cap 10000000"),
 ])
 def test_bad_integers_get_an_error_line(capsys, argv, message):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1   # refused before any work
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err

@@ -42,6 +42,8 @@ def commands() -> list[list[str]]:
     out.append(["gram", "--p", "3", "--maxlen", "1", "--pretty"])
     out.append(["apply", "--p", "3", "--ops", "a0* a1", "--disk", "12",
                 "--pretty"])
+    for p in ("2", "3"):   # the default depth 4 samples boundary pairs
+        out.append(["verify", "--p", p, "--suite", "gns"])
     return out
 
 

@@ -113,6 +113,14 @@ def test_zero_past_the_cap_is_refused():
         StepFunction.zero(2, 40)
 
 
+def test_random_step_function_checks_the_cap_before_drawing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(CapExceededError):
+        random_step_function(rng, 10007, 2)   # 10^8 values
+    assert rng.getstate() == state   # refused before the first draw
+
+
 def test_a_negative_depth_is_a_parameter_error():
     for build in (StepFunction.zero, cyclicity_basis):
         with pytest.raises(ParameterError,
