@@ -67,7 +67,7 @@ class CoherentState:
 
     def coefficients_of_length(self, k: int) -> dict[Word, Scalar]:
         """All nonzero Ψ_I with |I| = k, keyed by word (capped as ``terms``)."""
-        v = FockVector._raw(self.p, {(k, 0): self.layer(k)}, None, 0)
+        v = FockVector._raw(self.p, {k: self.layer(k)})
         return {w: c for w, (_, c) in v.terms.items()}
 
     def vacuum_coefficient(self) -> Scalar:
@@ -104,11 +104,11 @@ def indicator_state(p: int, I: Word) -> CoherentState:
 def to_fock_truncated(s: CoherentState, N: int) -> FockVector:
     """Σ_{|I| ≤ N} λ^{|I|} Ψ_I · (word I), truncated at word length N.
 
-    Layer (k, k) is ``s.layer(k)``: p^{min(k, depth)} values, not p^k.
+    Layer k is ``s.layer(k)``, p^{min(k, depth)} values rather than p^k,
+    and carries λ^k: shift 0.
     """
-    layers = {(k, k): f for k in range(N + 1)
-              if not (f := s.layer(k)).is_zero()}
-    return FockVector._raw(s.p, layers, N, 0)
+    layers = {k: f for k in range(N + 1) if not (f := s.layer(k)).is_zero()}
+    return FockVector._raw(s.p, layers, N, 0, 0)
 
 
 def build_X_truncated(p: int, I: Word, N: int) -> FockVector:
@@ -274,12 +274,11 @@ def af_state_value(p: int, I: Word, J: Word, N: int | None = None) -> Scalar:
         v = af_annihilate(j, v)
     for i in I:             # rightmost factor of AF(A†_I) is AF(A†_{i₀})
         v = af_create(i, v)
-    # each AF(A_j) raises λ's exponent over the length by one, each AF(A†_i)
-    # lowers it: length k carries λ^{k+s}, which is p^{s/2}·λ^k at λ = √p
-    s, zero = len(J) - len(I), StepFunction.zero(p)
+    # length k carries λ^{k+shift}, which is p^{shift/2}·λ^k at λ = √p
+    zero = StepFunction.zero(p)
     kmax = max(v.support_lengths(), default=0)
-    la = [one_hat.layers[(k, k)] for k in range(kmax + 1)]
-    lb = [v.layers.get((k, k + s), zero).mul_root_p_power(s)
+    la = [one_hat.layers[k] for k in range(kmax + 1)]
+    lb = [v.layers.get(k, zero).mul_root_p_power(v.shift)
           for k in range(kmax + 1)]
     try:
         return _series(la, lb, kmax).value

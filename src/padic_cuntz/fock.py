@@ -1,12 +1,13 @@
 """Truncated free (Boltzmann) Fock space over p letters, stored by layers.
 
 Basis words are orthonormal, and each carries one λ-monomial c·λ^n, as in
-a coherent-state expansion Σ_I λ^{|I|} Ψ_I A†_I Ω.  The word i₀…i_{k−1} is
-the coset index Σ i_j p^j at depth k (first letter lowest), and a vector
-is stored as nonzero layers {(k, n): StepFunction} of the length-k words
-carrying λ^n.  A layer shallower than k reads only the first ``depth``
-letters, so the expansion of a depth-d state costs p^{min(k, d)} values
-at length k, not p^k.
+a coherent-state expansion Σ_I λ^{|I|} Ψ_I A†_I Ω, where each ladder
+operator moves a word's length and keeps its power.  So all length-k
+words carry λ^{k+shift} for one ``shift`` per vector, and a vector is
+stored as nonzero layers {k: StepFunction} plus that shift; the word
+i₀…i_{k−1} is the coset index Σ i_j p^j at depth k (first letter lowest).
+A layer shallower than k reads only the first ``depth`` letters, so the
+expansion of a depth-d state costs p^{min(k, d)} values at length k.
 
 ``af_create``/``af_annihilate`` prepend / strip the FIRST letter (lowest
 digit; the right "antifock" action behind the T-operators): the
@@ -32,52 +33,42 @@ def _word(m: int, k: int, p: int) -> Word:
     return tuple((m // p ** j) % p for j in range(k))
 
 
-def _check_powers(p: int, layers: dict) -> None:
-    """Raise SelfCheckError where two layers at one length, so two powers
-    of λ, meet on a word."""
-    seen: dict[int, list] = {}
-    for (k, n), f in layers.items():
-        for n2, g in seen.get(k, ()):
-            a, b = len(f.raw), len(g.raw)
-            for m in range(max(a, b)):
-                if f.raw[m % a] and g.raw[m % b]:
-                    raise SelfCheckError(
-                        f"word {word_str(_word(m, k, p), p)!r} would carry "
-                        f"both λ^{min(n, n2)} and λ^{max(n, n2)}")
-        seen.setdefault(k, []).append((n, f))
-
-
 class FockVector:
-    """Layers {(length, λ-exponent): StepFunction}; creation keeps words
-    up to ``truncation`` and counts the dropped ones in ``spilled``.
-    Equality compares p and coefficients only (the rest is bookkeeping)."""
+    """Layers {length k: StepFunction} whose words carry λ^{k+shift};
+    creation keeps words up to ``truncation`` and counts the dropped ones
+    in ``spilled``.  Equality compares p and coefficients only."""
 
-    __slots__ = ("p", "layers", "truncation", "spilled")
+    __slots__ = ("p", "layers", "truncation", "spilled", "shift")
 
     def __init__(self, p: int,
                  terms: dict[Word, tuple[int, Scalar]] | None = None,
                  truncation: int | None = None):
         validate_prime(p)
-        grouped: dict[tuple[int, int], dict[int, Scalar]] = {}
+        grouped: dict[int, dict[int, Scalar]] = {}
+        shifts = set()
         for w, (n, c) in (terms or {}).items():
             for d in w:
                 check_letter(d, p)
-            if not isinstance(n, int) or n < 0:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise ValueError("λ exponents must be nonnegative integers")
             if not c.is_zero():
-                grouped.setdefault((len(w), n), {})[coset_index(p, w)] = c
+                grouped.setdefault(len(w), {})[coset_index(p, w)] = c
+                shifts.add(n - len(w))
+        if len(shifts) > 1:
+            raise ValueError(f"λ-exponents − lengths differ: {shifts}")
         zero = Scalar.zero(p)
-        self.p = p
-        self.layers = {key: StepFunction._raw(p, key[0], tuple(
-            vals.get(m, zero) for m in range(_check_cap(p, key[0]))))
-            for key, vals in grouped.items()}
+        self.p, self.shift = p, shifts.pop() if shifts else 0
+        self.layers = {k: StepFunction._raw(p, k, tuple(
+            vals.get(m, zero) for m in range(_check_cap(p, k))))
+            for k, vals in grouped.items()}
         self.truncation = truncation
         self.spilled = 0
 
     @classmethod
-    def _raw(cls, p, layers, truncation, spilled) -> "FockVector":
+    def _raw(cls, p, layers, truncation=None, spilled=0, shift=0):
         v = object.__new__(cls)
-        v.p, v.layers, v.truncation, v.spilled = p, layers, truncation, spilled
+        v.p, v.layers, v.truncation = p, layers, truncation
+        v.spilled, v.shift = spilled, shift
         return v
 
     @classmethod
@@ -103,8 +94,8 @@ class FockVector:
         if count > (cap := stepfunctions.VALUE_CAP):
             raise CapExceededError(f"{count} words exceed cap {cap}")
         out = {}
-        for (k, n), f in self.layers.items():
-            tails = list(words_of_length(p, k - f.depth))
+        for k, f in self.layers.items():
+            n, tails = k + self.shift, list(words_of_length(p, k - f.depth))
             for m, c in enumerate(f.values):
                 if c:
                     head = _word(m, f.depth, p)
@@ -114,50 +105,55 @@ class FockVector:
     def coefficient(self, word: Word) -> tuple[int, Scalar]:
         """(n, c) with the word's coefficient c·λ^n; (0, 0) if absent."""
         w = tuple(word)
-        if all(isinstance(d, int) and 0 <= d < self.p for d in w):
-            for (k, n), f in self.layers.items():
-                c = k == len(w) and f.raw[coset_index(f.p, w[:f.depth])]
-                if c:
-                    return n, c.mul_root_p_power(f.exp)
+        f = self.layers.get(len(w))
+        if f is not None and all(isinstance(d, int) and 0 <= d < self.p
+                                 for d in w):
+            c = f.raw[coset_index(f.p, w[:f.depth])]
+            if c:
+                return len(w) + self.shift, c.mul_root_p_power(f.exp)
         return 0, Scalar.zero(self.p)
 
     def is_zero(self) -> bool:
         return not self.layers
 
     def support_lengths(self) -> set[int]:
-        return {k for k, _ in self.layers}
+        return set(self.layers)
 
-    def _with(self, layers: dict) -> "FockVector":
-        return FockVector._raw(self.p, layers, self.truncation, self.spilled)
+    def _with(self, layers: dict, moved: int = 0) -> "FockVector":
+        return FockVector._raw(self.p, layers, self.truncation, self.spilled,
+                               self.shift + moved)
 
     def restrict_lengths(self, lo: int) -> "FockVector":
         """Sub-vector with word lengths ≥ lo."""
-        return self._with({key: f for key, f in self.layers.items()
-                           if lo <= key[0]})
+        return self._with({k: f for k, f in self.layers.items() if lo <= k})
 
     def with_truncation(self, truncation: int | None) -> "FockVector":
         """Same coefficients under a different creation-truncation length."""
-        return FockVector._raw(self.p, self.layers, truncation, self.spilled)
+        return FockVector._raw(self.p, self.layers, truncation, self.spilled,
+                               self.shift)
 
     # -- linear structure --------------------------------------------------
 
     def _combine(self, other: "FockVector", negate: bool) -> "FockVector":
-        """Add (or subtract) layer by layer; two powers of λ meeting on a
-        word mean the identity being checked is wrong."""
+        """Add (or subtract) layer by layer; two nonzero vectors with
+        different shifts mean the identity being checked is wrong."""
         if other.p != self.p:
             raise ValueError("mixed primes in Fock sum")
+        if self.layers and other.layers and self.shift != other.shift:
+            raise SelfCheckError(f"a sum of λ^(k{self.shift:+}) and "
+                                 f"λ^(k{other.shift:+}) words at length k")
         trunc = min((t for t in (self.truncation, other.truncation)
                      if t is not None), default=None)
         out = dict(self.layers)
-        for key, g in other.layers.items():
-            f = out.pop(key, None)
+        for k, g in other.layers.items():
+            f = out.pop(k, None)
             s = (-g if negate else g) if f is None else \
                 None if negate and f == g else f - g if negate else f + g
             if s is not None and not s.is_zero():
-                out[key] = s
-        _check_powers(self.p, out)
+                out[k] = s
+        shift = (self if self.layers else other).shift
         return FockVector._raw(self.p, out, trunc,
-                               self.spilled + other.spilled)
+                               self.spilled + other.spilled, shift)
 
     def __add__(self, other: "FockVector") -> "FockVector":
         return self._combine(other, False) \
@@ -171,31 +167,29 @@ class FockVector:
         """Multiply every coefficient by the Scalar c (λ: ``shift_lambda``)."""
         if c.is_zero():
             return FockVector.zero(self.p, self.truncation)
-        return self._with({key: f.scale(c) for key, f in self.layers.items()})
+        return self._with({k: f.scale(c) for k, f in self.layers.items()})
 
     def mul_root_p_power(self, e: int) -> "FockVector":
         """Multiply by p^{e/2}: a shift of each layer's √p scale."""
-        return self._with({key: f.mul_root_p_power(e)
-                           for key, f in self.layers.items()})
+        return self._with({k: f.mul_root_p_power(e)
+                           for k, f in self.layers.items()})
 
-    def shift_lambda(self, k: int) -> "FockVector":
-        """Multiply by λ^k (k < 0 only if no exponent drops below 0)."""
-        if k < 0 and any(n + k < 0 for _, n in self.layers):
+    def shift_lambda(self, j: int) -> "FockVector":
+        """Multiply by λ^j (j < 0 only if no exponent drops below 0)."""
+        if self.layers and min(self.layers) + self.shift + j < 0:
             raise ValueError("λ shift would create a negative exponent")
-        return self._with({(m, n + k): f
-                           for (m, n), f in self.layers.items()})
+        return self._with(self.layers, j)
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        return self.p == other.p and self.layers.keys() == \
-            other.layers.keys() and all(f == other.layers[key]
-                                        for key, f in self.layers.items())
+        return self.p == other.p and self.layers == other.layers and (
+            not self.layers or self.shift == other.shift)
 
     def __repr__(self):
-        shown = ", ".join(f"(k={k}, λ^{n}): depth {f.depth}"
-                          for (k, n), f in sorted(self.layers.items()))
-        return f"<FockVector p={self.p} {{{shown}}} spilled={self.spilled}>"
+        depths = {k: f.depth for k, f in sorted(self.layers.items())}
+        return (f"<FockVector p={self.p} λ^(k{self.shift:+}) depths {depths}"
+                f" spilled={self.spilled}>")
 
     def to_json(self) -> dict:
         items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
@@ -205,25 +199,25 @@ class FockVector:
 
 
 def _create(v: FockVector, layer, letters: int = 1) -> FockVector:
-    """Move layers up one length; those at the truncation spill, each
-    word once per letter created."""
+    """Move layers up one length (so the shift drops by one); those at
+    the truncation spill, each word once per letter created."""
     out, spilled = {}, v.spilled
-    for (k, n), f in v.layers.items():
+    for k, f in v.layers.items():
         if v.truncation is not None and k >= v.truncation:
             spilled += letters * sum(map(bool, f.raw)) * v.p ** (k - f.depth)
         else:
-            out[(k + 1, n)] = layer(k, f)
-    return FockVector._raw(v.p, out, v.truncation, spilled)
+            out[k + 1] = layer(k, f)
+    return FockVector._raw(v.p, out, v.truncation, spilled, v.shift - 1)
 
 
 def _annihilate(v: FockVector, layer) -> FockVector:
-    """Move each layer off the vacuum length down one length."""
+    """Move each layer off the vacuum length down one (shift up one)."""
     out = {}
-    for (k, n), f in v.layers.items():
+    for k, f in v.layers.items():
         g = layer(k, f) if k else None
         if g is f or g is not None and not g.is_zero():
-            out[(k - 1, n)] = g
-    return v._with(out)
+            out[k - 1] = g
+    return v._with(out, 1)
 
 
 def fock_create(i: int, v: FockVector) -> FockVector:
@@ -255,6 +249,7 @@ def fock_annihilate(i: int, v: FockVector) -> FockVector:
 def af_create(i: int, v: FockVector) -> FockVector:
     """Right multiplication by A†_i: prepend i as the first letter (the
     interleave out[i::p] = raw of ``apply_creation``, without its √p)."""
+    # inlined (so is af_annihilate): apply_* plus a √p rescale ran slower
     check_letter(i, v.p)
     zero = Scalar.zero(v.p)
 
@@ -283,38 +278,25 @@ def create_sum(v: FockVector) -> FockVector:
 def annihilate_sum(v: FockVector) -> FockVector:
     """(Σ_i A_i)·v — every nonempty word stripped of its last letter: the
     top digit summed out, which is ×p = p^{2/2} for a shallower layer."""
-    out = _annihilate(v, lambda k, f: f.mul_root_p_power(2) if f.depth < k
-                      else StepFunction._raw(v.p, k - 1, f.coset_sums(k - 1),
-                                             f.exp))
-    _check_powers(v.p, out.layers)
-    return out
+    return _annihilate(v, lambda k, f: f.mul_root_p_power(2) if f.depth < k
+                       else StepFunction._raw(v.p, k - 1, f.coset_sums(k - 1),
+                                              f.exp))
 
 
 def fock_inner(v: FockVector, w: FockVector) -> dict[int, Scalar]:
-    """⟨v, w⟩ = Σ_I conj(v_I)·w_I as a λ-polynomial {exponent: Scalar}."""
-    parts: dict[int, list] = {}
-    for coeffs in fock_inner_by_length(v, w).values():
-        for n, c in coeffs.items():
-            parts.setdefault(n, []).append(c)
-    return {n: c for n, cs in parts.items() if (c := Scalar.sum(v.p, cs))}
+    """⟨v, w⟩ = Σ_I conj(v_I)·w_I as a λ-polynomial {exponent: Scalar}:
+    each length contributes its own exponent, so the parts merge."""
+    return {n: c for coeffs in fock_inner_by_length(v, w).values()
+            for n, c in coeffs.items()}
 
 
 def fock_inner_by_length(v: FockVector,
                          w: FockVector) -> dict[int, dict[int, Scalar]]:
     """Per-length contributions {length: {exponent: Scalar}} to ⟨v, w⟩,
     zeros left out: the p^k length-k words give p^k times the layers'
-    normalized L² pairing."""
+    normalized L² pairing, at the one exponent 2k + v.shift + w.shift."""
     if v.p != w.p:
         raise ValueError("mixed primes in Fock inner product")
-    w_at: dict[int, list] = {}
-    for (k, n), g in w.layers.items():
-        w_at.setdefault(k, []).append((n, g))
-    by_len: dict[int, dict[int, Scalar]] = {}
-    for (k, n1), f in v.layers.items():
-        for n2, g in w_at.get(k, ()):
-            c = f.inner(g).mul_root_p_power(2 * k)
-            coeffs = by_len.setdefault(k, {})
-            coeffs[n1 + n2] = coeffs[n1 + n2] + c \
-                if n1 + n2 in coeffs else c
-    return {k: kept for k, coeffs in by_len.items()
-            if (kept := {n: c for n, c in coeffs.items() if c})}
+    return {k: {2 * k + v.shift + w.shift: c} for k, f in v.layers.items()
+            if k in w.layers
+            and (c := f.inner(w.layers[k]).mul_root_p_power(2 * k))}

@@ -20,8 +20,7 @@ from .coherent import (CoherentState, af_relation_residual, af_state_value,
                        indicator_state, leibnitz_residuals, pairing_series,
                        phi_map, renormalized_pairing, t_dagger, t_dagger_fock,
                        t_op, t_op_fock, to_fock_truncated)
-from .errors import (CapExceededError, NotStabilizedError, ParameterError,
-                     SelfCheckError)
+from .errors import NotStabilizedError, ParameterError, SelfCheckError
 from .representation import (apply_annihilation, apply_creation,
                              cyclicity_basis, gns_state)
 from .scalars import Scalar, validate_prime
@@ -364,28 +363,34 @@ def run_suites(name: str, p: int, depth: int = 4, trunc: int = 6,
         raise ParameterError(f"depth must be nonnegative, got {depth}")
     if trunc < 1:
         raise ParameterError(f"truncation must be at least 1, got {trunc}")
+    cap = stepfunctions.VALUE_CAP
+    # each family's largest array or case count, refused before any draw:
+    # p^depth > cap iff p^min(depth, bits) > cap, as p ≥ 2 (see _check_cap)
+    ladder = min(depth, 5)   # A†_i on a depth-`ladder` function
+    lengths = {"trep": min(depth, wide), "af": min(depth, wide - 1)}
+    words = {s: sum(p ** k for k in range(n + 1)) for s, n in lengths.items()}
+    limits = (
+        ("gns", p ** min(depth, cap.bit_length()),
+         f"gns depth {depth}: the boundary words' p^depth = {p}^{depth} "
+         f"values exceed the cap {cap}"),
+        ("cuntz", p ** (ladder + 1), f"cuntz suite: A†_i on depth {ladder}: "
+         f"p^depth = {p}^{ladder + 1} values exceeds cap {cap}"),
+        ("trep", words["trep"] * p * p,
+         f"trep suite: {words['trep']} words of length ≤ {lengths['trep']} "
+         f"exceed the cap {cap} as {words['trep'] * p * p} T_iT†_j cases"),
+        ("af", words["af"] ** 2,
+         f"af suite: {words['af']} words of length ≤ {lengths['af']} exceed "
+         f"the cap {cap} as {words['af'] ** 2} (I, J) pairs"))
+    for family, count, message in limits:
+        if name in (family, "all") and count > cap:
+            raise ParameterError(message)
     longest = min(depth, wide, 3)   # the pairing suite's expansion words
-    if name in ("gns", "all"):
-        try:
-            _check_cap(p, depth)
-        except CapExceededError:
-            raise ParameterError(f"gns depth {depth}: the boundary words' "
-                                 f"p^depth = {p}^{depth} values exceed the "
-                                 f"cap {stepfunctions.VALUE_CAP}") from None
     if name in ("pairing", "all") and trunc < longest:
         raise ParameterError(f"truncation {trunc} below the pairing "
                              f"suite's basis word length {longest}")
-    # the word lists the trep and af suites walk, refused before listing
-    lengths = {"trep": min(depth, wide), "af": min(depth, wide - 1)}
-    for suite, n in lengths.items():
-        words = sum(p ** k for k in range(n + 1))
-        if name in (suite, "all") and words > stepfunctions.VALUE_CAP:
-            raise ParameterError(f"{suite} suite: {words} words of length "
-                                 f"≤ {n} exceed the cap "
-                                 f"{stepfunctions.VALUE_CAP}")
     reports = []
     if name in ("cuntz", "all"):
-        reports.append(suite_cuntz(p, depth=min(depth, 5), seed=seed))
+        reports.append(suite_cuntz(p, depth=ladder, seed=seed))
         reports.append(suite_cyclicity(p, depth=min(depth, 4)))
     if name in ("gns", "all"):
         reports.append(suite_gns(p, depth=depth, seed=seed))

@@ -89,6 +89,17 @@ def test_prime_validation(capsys):
      "exceed the cap"),
     (("verify", "--p", "2305843009213693951", "--suite", "cuntz"),
      "values exceeds cap 10000000"),
+    # the cuntz suite is refused before its first draw, whatever the seed
+    *[(("verify", "--p", p, "--suite", "cuntz", "--seed", seed),
+       f"error: cuntz suite: A†_i on depth 4: p^depth = {p}^5 values "
+       "exceeds cap 10000000\n")
+      for p in ("10007", "2305843009213693951") for seed in "0123"],
+    (("verify", "--p", "10007", "--suite", "af"),
+     "af suite: 10008 words of length ≤ 1 exceed the cap 10000000 as "
+     "100160064 (I, J) pairs"),
+    (("verify", "--p", "1009", "--suite", "trep"),
+     "trep suite: 1019091 words of length ≤ 2 exceed the cap 10000000 as "
+     "1037517184371 T_iT†_j cases"),
 ])
 def test_bad_integers_get_an_error_line(capsys, argv, message):
     start = time.perf_counter()
@@ -97,6 +108,17 @@ def test_bad_integers_get_an_error_line(capsys, argv, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_default_runs_pass_the_caps_through_p_23(monkeypatch):
+    # the suites stubbed out, so only run_suites' refusals run
+    for name in ("cuntz", "cyclicity", "gns", "pairing", "trep", "af"):
+        monkeypatch.setattr(suites, f"suite_{name}",
+                            lambda p, name=name, **kw: name)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        assert len(suites.run_suites("all", p)) == 6
+    with pytest.raises(suites.ParameterError, match="29\\^5 values"):
+        suites.run_suites("cuntz", 29)
 
 
 def test_state_at_a_large_prime(capsys):

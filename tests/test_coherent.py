@@ -347,6 +347,46 @@ def test_af_relation_residuals():
             assert not [w for w in second.terms if len(w) < 5]
 
 
+def test_each_route_pins_its_lambda_shift():
+    # every route's words carry λ^{k+shift} for the shift the λ bookkeeping
+    # of the route predicts; only nonzero results have a shift to pin
+    rng = random.Random(47)
+    seen = set()
+
+    def pin(route, v, shift):
+        if not v.is_zero():
+            assert v.shift == shift, route
+            seen.add(route)
+
+    for p in (2, 3):
+        for I in words_up_to(p, 2):
+            pin("build_X", build_X_truncated(p, I, 4), 0)
+            for J in words_up_to(p, 2):
+                v = to_fock_truncated(indicator_state(p, ()), 7)
+                for j in reversed(J):
+                    v = af_annihilate(j, v)
+                for i in I:
+                    v = af_create(i, v)
+                pin("AF(A†_I A_J)·1̂", v, len(J) - len(I))
+        for _ in range(6):
+            s = random_coherent_state(rng, p)
+            i = rng.randrange(p)
+            pin("to_fock", to_fock_truncated(s, 4), 0)
+            pin("t_dagger_fock", t_dagger_fock(i, s, 4), 0)
+            pin("t_op_fock", t_op_fock(i, s, 4), 0)
+            eigen, *leibnitz = leibnitz_residuals(s, 4)
+            assert eigen == eigen_residual(s, 4)
+            pin("eigen_residual", eigen, 1)
+            for r in leibnitz:
+                pin("leibnitz", r, 0)
+            first, second = af_relation_residual(i, s, 4)
+            # the first cancels on every word (both T† routes agree), and
+            # keeps its operands' shift 0
+            assert first.is_zero() and first.shift == 0
+            pin("af_relation second", second, 1)
+    assert len(seen) == 8   # each route gave a nonzero result somewhere
+
+
 def test_gram_example():
     basis, ren, l2, equal, max_stab = gram_matrices(2, 1)
     assert [len(w) for w in basis] == [0, 1, 1]

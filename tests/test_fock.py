@@ -18,11 +18,12 @@ def one_term(p):
 
 
 def random_vector(rng, p, max_len=3, trunc=None):
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        w = tuple(rng.randrange(p) for _ in range(rng.randint(0, max_len)))
-        terms[w] = (rng.randint(0, 2), random_scalar(rng, p))
-    return FockVector(p, terms, truncation=trunc)
+    """Random words carrying λ^{|w|+s} for one drawn shift s."""
+    words = [tuple(rng.randrange(p) for _ in range(rng.randint(0, max_len)))
+             for _ in range(rng.randint(1, 6))]
+    s = rng.randint(-min(map(len, words)), 2)
+    return FockVector(p, {w: (len(w) + s, random_scalar(rng, p))
+                          for w in words}, truncation=trunc)
 
 
 def poly_add(a, b):
@@ -42,13 +43,13 @@ def poly_mul(a, b):
 
 
 def split_by_power(p, spec):
-    """Single-power vectors, one per λ-exponent, summing to the vector whose
-    word coefficients are the polynomials spec {word: {n: c}}."""
-    by_n = {}
+    """One-shift vectors, one per n − |w|, summing to the vector whose word
+    coefficients are the polynomials spec {word: {n: c}}."""
+    by_shift = {}
     for w, poly in spec.items():
         for n, c in poly.items():
-            by_n.setdefault(n, {})[w] = (n, c)
-    return [FockVector(p, terms) for terms in by_n.values()]
+            by_shift.setdefault(n - len(w), {})[w] = (n, c)
+    return [FockVector(p, terms) for terms in by_shift.values()]
 
 
 def inner_by_length_of_sums(vs, ws):
@@ -228,12 +229,12 @@ def test_lambda_monomials():
     one = Scalar.one(2)
     half = Scalar.rational(2, Q(1, 2))
     # shift_lambda moves each word's power of λ
-    mixed = FockVector(2, {(0,): (1, one), (): (0, half)})
-    assert mixed.shift_lambda(2).coefficient((0,)) == (3, one)
-    assert mixed.shift_lambda(2).coefficient(()) == (2, half)
-    assert mixed.shift_lambda(2).shift_lambda(-2) == mixed
+    v = FockVector(2, {(0,): (1, one), (): (0, half)})
+    assert v.shift_lambda(2).coefficient((0,)) == (3, one)
+    assert v.shift_lambda(2).coefficient(()) == (2, half)
+    assert v.shift_lambda(2).shift_lambda(-2) == v
     with pytest.raises(ValueError):
-        mixed.shift_lambda(-1)
+        v.shift_lambda(-1)
     # fock_inner conjugates the first slot's scalar, never λ
     i = Scalar(2, 0, 0, 1, 0)
     lam_i = FockVector(2, {(1,): (1, i)})
@@ -241,19 +242,28 @@ def test_lambda_monomials():
     assert fock_inner(lam_i, lam) == {2: -i}
     assert fock_inner(lam, lam_i) == {2: i}
     assert fock_inner(lam_i, lam_i) == {2: one}
-    # exponents are nonnegative integers
-    for bad in (-1, 1.0, "1"):
+    # exponents are nonnegative integers, and True is not one
+    for bad in (-1, 1.0, "1", True):
         with pytest.raises(ValueError):
             FockVector(2, {(0,): (bad, one)})
-    # one word never carries two powers of λ
+    # the words of a vector carry λ^{|w| + shift} for one shift
+    assert (v.shift, lam_i.shift) == (0, 0)
+    with pytest.raises(ValueError, match="differ"):
+        FockVector(2, {(0, 0): (1, one), (0, 1): (2, one)})
+    # shift_lambda moves the shift, and a negative one keeps exponents ≥ 0
+    created = af_create(1, FockVector.vacuum(2))   # λ^0 at length 1
+    assert created.shift == -1
+    assert created.shift_lambda(2).coefficient((1,)) == (2, one)
+    with pytest.raises(ValueError):
+        created.shift_lambda(-1)
+    # sums of two shifts raise, whether or not their words meet
     linear = FockVector(2, {(0,): (1, one), (1,): (1, one)})
     square = FockVector(2, {(0,): (2, one)})
     for combine in (lambda a, b: a + b, lambda a, b: a - b):
         with pytest.raises(SelfCheckError) as err:
             combine(linear, square)
-        assert str(err.value) == "word '0' would carry both λ^1 and λ^2"
-    with pytest.raises(SelfCheckError):
-        annihilate_sum(FockVector(2, {(0, 0): (1, one), (0, 1): (2, one)}))
+        assert str(err.value) == \
+            "a sum of λ^(k+0) and λ^(k+1) words at length k"
     # matching powers add, and cancel to nothing
     assert square + square == square.scale(Scalar.rational(2, 2))
     assert (square - square).is_zero()
@@ -283,7 +293,7 @@ def test_json_keys_for_two_digit_letters(p):
 
 def test_inner_by_length_multi_power_coefficients():
     # the vectors with these polynomial coefficients are sums of
-    # single-power vectors, and the inner product is bilinear
+    # one-shift vectors, and the inner product is bilinear
     one = Scalar.one(2)
     two = Scalar.rational(2, 2)
     v = split_by_power(2, {(0,): {0: one, 1: one}, (0, 1): {2: two}})
@@ -349,34 +359,35 @@ def test_inner_by_length_matches_polynomial_products():
 
 def ref_terms(v):
     """word → (n, c) decoded from the layers: the first letter is the lowest
-    digit, and a layer of depth d reads only the first d letters."""
+    digit, a layer of depth d reads only the first d letters, and a
+    length-k word carries λ^{k+shift}."""
     out = {}
-    for (k, n), f in v.layers.items():
+    for k, f in v.layers.items():
         for w in words_of_length(v.p, k):
             m = sum(d * v.p ** j for j, d in enumerate(w[:f.depth]))
             c = f.raw[m].mul_root_p_power(f.exp)
             if not c.is_zero():
-                assert w not in out, "a stored vector carries two powers"
-                out[w] = (n, c)
+                out[w] = (k + v.shift, c)
     return out
+
+
+def ref_shifts(terms):
+    """The set of n − |w| over a reference vector's words."""
+    return {n - len(w) for w, (n, _) in terms.items()}
 
 
 def ref_sum(items):
-    """Sum (word, n, c) items; a word left with two powers of λ raises."""
+    """Sum (word, n, c) items that agree on each word's n, zeros dropped."""
     acc = {}
     for w, n, c in items:
-        acc[(w, n)] = acc[(w, n)] + c if (w, n) in acc else c
-    out = {}
-    for (w, n), c in acc.items():
-        if c.is_zero():
-            continue
-        if w in out:
-            raise SelfCheckError(f"word {w} carries two powers")
-        out[w] = (n, c)
-    return out
+        acc[w] = (n, acc[w][1] + c) if w in acc else (n, c)
+    return {w: (n, c) for w, (n, c) in acc.items() if not c.is_zero()}
 
 
 def ref_combine(a, b, sign):
+    """a + sign·b; nonzero operands with different shifts raise."""
+    if len(ref_shifts(a) | ref_shifts(b)) > 1:
+        raise SelfCheckError("two shifts in one sum")
     return ref_sum([(w, n, c) for w, (n, c) in a.items()]
                    + [(w, n, sign * c) for w, (n, c) in b.items()])
 
@@ -427,25 +438,21 @@ def ref_json(p, terms):
 
 
 def random_layered(rng, p, max_len=4, trunc=None):
-    """A vector straight from random layers: each length gets a depth ≤ k,
-    and each coset at that depth one λ-exponent (or zero), so exponents
-    mix at one length on disjoint words; √p scales vary too."""
+    """A vector straight from random layers: each length gets a depth ≤ k
+    and a value (or zero) on each coset at that depth; √p scales vary, and
+    one drawn shift keeps every exponent k + shift ≥ 0."""
     layers = {}
     for k in range(max_len + 1):
         if rng.random() < 0.3:
             continue
         depth = rng.randint(0, k)
-        exponents = rng.sample(range(4), rng.randint(1, 2))
-        raws = {n: [Scalar.zero(p)] * p ** depth for n in exponents}
-        for m in range(p ** depth):
-            if rng.random() < 0.8:
-                raws[rng.choice(exponents)][m] = random_scalar(rng, p)
-        exp = rng.randint(-2, 2)
-        for n, raw in raws.items():
-            f = StepFunction._raw(p, depth, tuple(raw), exp)
-            if not f.is_zero():
-                layers[(k, n)] = f
-    return FockVector._raw(p, layers, trunc, 0)
+        raw = tuple(random_scalar(rng, p) if rng.random() < 0.8
+                    else Scalar.zero(p) for _ in range(p ** depth))
+        f = StepFunction._raw(p, depth, raw, rng.randint(-2, 2))
+        if not f.is_zero():
+            layers[k] = f
+    shift = rng.randint(-min(layers, default=0), 3)
+    return FockVector._raw(p, layers, trunc, 0, shift)
 
 
 def check_create_sum(v, tv):
@@ -508,11 +515,7 @@ def test_layered_operators_match_the_word_reference(p):
             raised += got is None
             if got is not None:
                 assert ref_terms(got) == want
-        got, want = agree(lambda: annihilate_sum(v),
-                          lambda: ref_annihilate_sum(tv))
-        raised += got is None
-        if got is not None:
-            assert ref_terms(got) == want
+        assert ref_terms(annihilate_sum(v)) == ref_annihilate_sum(tv)
         c = random_scalar(rng, p, full=True)
         assert ref_terms(v.scale(c)) == {
             word: (n, x * c) for word, (n, x) in tv.items() if x * c}
@@ -525,7 +528,7 @@ def test_layered_operators_match_the_word_reference(p):
         assert (v - FockVector(p, tv)).is_zero()
         assert fock_inner_by_length(v, w) == ref_inner_by_length(tv, tw)
         assert fock_inner_by_length(v, v) == ref_inner_by_length(tv, tv)
-    assert raised  # the two-powers check was reached at random too
+    assert raised  # the two-shifts check was reached at random too
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -536,7 +539,7 @@ def test_expansion_layers_match_the_word_reference(p):
     for _ in range(6):
         s = random_coherent_state(rng, p, max_depth=2)
         v = to_fock_truncated(s, 4)
-        assert any(f.depth < k for (k, _), f in v.layers.items())
+        assert any(f.depth < k for k, f in v.layers.items())
         tv = ref_terms(v)
         assert ref_terms(annihilate_sum(v)) == ref_annihilate_sum(tv)
         check_create_sum(v, tv)
@@ -550,21 +553,24 @@ def test_expansion_layers_match_the_word_reference(p):
                 ref_annihilate(tv, i, False)
 
 
-def test_two_powers_raise_only_where_supports_meet():
+def test_two_shifts_raise_unless_a_side_is_zero():
     one = Scalar.one(3)
-    # λ^1 and λ^2 at one length on disjoint words: a valid vector
+    add, sub = (lambda a, b: a + b), (lambda a, b: a - b)
+    # λ^1 and λ^2 at one length raise even on disjoint words
     a = FockVector(3, {(0, 1): (1, one)})
     b = FockVector(3, {(1, 1): (2, one)})
-    mixed = a + b
-    assert mixed.coefficient((0, 1)) == (1, one)
-    assert mixed.coefficient((1, 1)) == (2, one)
-    assert (mixed - b) == a
-    # ... and on the same word after stripping the last letter
-    with pytest.raises(SelfCheckError, match="would carry both λ"):
-        annihilate_sum(FockVector(3, {(2, 0): (1, one), (2, 1): (2, one)}))
-    with pytest.raises(SelfCheckError, match="'01' would carry both"):
-        a - FockVector(3, {(0, 1): (2, one)})
-    # contributions that cancel first leave nothing to conflict
+    for combine in (add, sub):
+        with pytest.raises(SelfCheckError, match=r"λ\^\(k-1\) and λ\^\(k\+0\)"):
+            combine(a, b)
+    # a zero side takes the other's shift; equality ignores a zero's shift
+    zero = FockVector.zero(3)
+    assert (a + zero).shift == (zero + a).shift == -1
+    assert zero - b == b.scale(-one) and (zero - b).shift == 0
+    assert a - a == zero and (a - a).shift == -1
+    assert (a - a) + b == b and (a - a) + b != a.shift_lambda(1)
+    assert zero.shift_lambda(5) == zero
+    # annihilate_sum raises the shift; words that merge share their power
     c = FockVector(3, {(2, 0): (1, one), (2, 1): (1, -one),
-                       (1, 2): (2, one)})
-    assert annihilate_sum(c) == FockVector(3, {(1,): (2, one)})
+                       (1, 2): (1, one)})
+    assert annihilate_sum(c) == FockVector(3, {(1,): (1, one)})
+    assert annihilate_sum(c).shift == 0
