@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .coherent import gram_matrices, indicator_state, renormalized_pairing
 from .errors import PadicCuntzError
@@ -48,15 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trunc", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("state", help="state value of A†_I A_J")
-    add_common(sp)
-    sp.add_argument("--I", default="", help=f"word I ({WORD_HELP})")
-    sp.add_argument("--J", default="", help=f"word J ({WORD_HELP})")
-
-    sp = sub.add_parser("pair", help="renormalized pairing of X_I and X_J")
-    add_common(sp)
-    sp.add_argument("--I", default="", help=f"word I ({WORD_HELP})")
-    sp.add_argument("--J", default="", help=f"word J ({WORD_HELP})")
+    for name, text in (("state", "state value of A†_I A_J"),
+                       ("pair", "renormalized pairing of X_I and X_J")):
+        sp = sub.add_parser(name, help=text)
+        add_common(sp)
+        for word in "IJ":
+            sp.add_argument(f"--{word}", default="",
+                            help=f"word {word} ({WORD_HELP})")
 
     sp = sub.add_parser("gram", help="Gram matrix of {X_I : |I| ≤ maxlen}")
     add_common(sp)
@@ -124,21 +123,11 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def cmd_state(args) -> int:
+def cmd_value(args, value_of) -> int:
+    """``state`` and ``pair``: the value ``value_of(p, I, J)``."""
     I = parse_word(args.I, args.p)
     J = parse_word(args.J, args.p)
-    value = gns_state(args.p, I, J)
-    data = {"p": args.p, "I": word_str(I, args.p), "J": word_str(J, args.p),
-            "value": value.to_json(), "display": format_with_decimal(value)}
-    _emit(data, args.pretty, lambda: format_with_decimal(value))
-    return 0
-
-
-def cmd_pair(args) -> int:
-    I = parse_word(args.I, args.p)
-    J = parse_word(args.J, args.p)
-    value = renormalized_pairing(indicator_state(args.p, I),
-                                 indicator_state(args.p, J))
+    value = value_of(args.p, I, J)
     data = {"p": args.p, "I": word_str(I, args.p), "J": word_str(J, args.p),
             "value": value.to_json(), "display": format_with_decimal(value)}
     _emit(data, args.pretty, lambda: format_with_decimal(value))
@@ -183,8 +172,11 @@ def cmd_apply(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {"verify": cmd_verify, "state": cmd_state, "pair": cmd_pair,
-                "gram": cmd_gram, "apply": cmd_apply}
+    pairing = lambda p, I, J: renormalized_pairing(
+        indicator_state(p, I), indicator_state(p, J))
+    handlers = {"verify": cmd_verify, "gram": cmd_gram, "apply": cmd_apply,
+                "state": partial(cmd_value, value_of=gns_state),
+                "pair": partial(cmd_value, value_of=pairing)}
     try:
         if not is_prime(args.p):
             print("error: p must be prime", file=sys.stderr)

@@ -23,7 +23,7 @@ from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
                    create_sum)
 from .representation import apply_annihilation, apply_creation
 from .scalars import Scalar, validate_prime
-from .stepfunctions import StepFunction, coset_index, indicator
+from .stepfunctions import StepFunction, _cap_exponent, coset_index, indicator
 from .words import Word, validate_word, words_up_to
 
 
@@ -295,7 +295,8 @@ def af_relation_residual(i: int, s: CoherentState,
     first:  to_fock(T†_i s) − p^{−1/2}λ·af_create(i, ·) − p^{−1/2}Ψ_∅·Ω;
     second: λ·to_fock(T_i s) − √p·af_annihilate(i, ·) (denominator cleared),
     the AF sides being ``t_dagger_fock`` and λ·``t_op_fock`` one length
-    down.  Both vanish on every word strictly below the truncation N.
+    down.  The first vanishes at every length, the second on every word
+    strictly below the truncation N.
     """
     first = to_fock_truncated(t_dagger(i, s), N) - t_dagger_fock(i, s, N)
     second = to_fock_truncated(t_op(i, s), N) - t_op_fock(i, s, N - 1)
@@ -309,9 +310,8 @@ def gram_matrices(p: int, maxlen: int):
     validate_prime(p)
     if maxlen < 0:
         raise ParameterError(f"basis length must be nonnegative, got {maxlen}")
-    # |B| ≥ 2^maxlen, so the min keeps the test exact for a huge maxlen
     cap = stepfunctions.VALUE_CAP
-    size = sum(p ** k for k in range(min(maxlen, cap.bit_length()) + 1))
+    size = sum(p ** k for k in range(_cap_exponent(maxlen) + 1))
     if size * size > cap:
         raise ParameterError(f"basis length {maxlen}: the |B|² Gram entries "
                              f"exceed the cap {cap}")

@@ -246,16 +246,8 @@ class Scalar:
         a1, b1, c1, d1, q1 = self.a, self.b, self.c, self.d, self.q
         if not (a1 or b1 or c1 or d1):
             return other
-        if q1 == q2:
-            return Scalar._reduced(self.p, a1 + a2, b1 + b2, c1 + c2,
-                                   d1 + d2, q1)
-        g = gcd(q1, q2)
-        s1, s2 = q1 // g, q2 // g
-        n = (a1 * s2 + a2 * s1, b1 * s2 + b2 * s1, c1 * s2 + c2 * s1,
-             d1 * s2 + d2 * s1, q1 * s2)
-        # coprime denominators leave no common factor in the sum
-        return Scalar._raw(self.p, *n) if g == 1 else \
-            Scalar._reduced(self.p, *n)
+        return Scalar._reduced(self.p, a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
+                               c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
     __radd__ = __add__
 
@@ -311,8 +303,6 @@ class Scalar:
         return Scalar._reduced(p, a, b, c, d, q)
 
     def conjugate(self) -> "Scalar":
-        if not (self.c or self.d):
-            return self
         return Scalar._raw(self.p, self.a, self.b, -self.c, -self.d, self.q)
 
     def inverse(self) -> "Scalar":

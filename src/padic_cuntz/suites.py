@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import cache, partial, reduce
+from operator import add
 
 from . import stepfunctions
 from .coherent import (CoherentState, af_relation_residual, af_state_value,
@@ -24,18 +25,27 @@ from .errors import NotStabilizedError, ParameterError, SelfCheckError
 from .representation import (apply_annihilation, apply_creation,
                              cyclicity_basis, gns_state)
 from .scalars import Scalar, validate_prime
-from .stepfunctions import StepFunction, _check_cap
+from .stepfunctions import StepFunction, _cap_exponent, _check_cap
 from .words import word_at, word_str, words_up_to
 
 SUITE_NAMES = ("cuntz", "gns", "pairing", "trep", "af", "all")
 
 
 class SuiteReport:
-    """Outcome of one verification suite; failures empty ⇔ exit code 0."""
+    """Outcome of one verification suite; failures empty ⇔ exit code 0.
 
-    def __init__(self, suite: str, p: int, parameters: dict) -> None:
+    Creating one checks p and starts the clock; ``done()`` stops it."""
+
+    def __init__(self, suite: str, p: int, **parameters) -> None:
+        validate_prime(p)
         self.suite, self.p, self.parameters = suite, p, parameters
         self.cases, self.failures, self.wall_time = 0, [], 0.0
+        self._start = time.perf_counter()
+
+    def done(self) -> "SuiteReport":
+        """Set ``wall_time`` to the seconds since creation; returns self."""
+        self.wall_time = time.perf_counter() - self._start
+        return self
 
     def check(self, case_id: str, ok: bool, expected="identity",
               actual="violated") -> None:
@@ -47,6 +57,9 @@ class SuiteReport:
             self.failures.append(
                 {"case": case_id, "expected": expected, "actual": actual})
 
+    # guard names its cases and check names each one again: a checker bound
+    # to the case ids, handed out by guard, costs a call per case and made
+    # the sampled gns loop, the bulk of a verify run, slower
     @contextmanager
     def guard(self, *case_ids: str):
         """Run the checks of the named cases.  A self-check error inside
@@ -113,24 +126,19 @@ def random_coherent_state(rng: random.Random, p: int,
 def suite_cuntz(p: int, depth: int = 5, cases: int = 200,
                 seed: int = 0) -> SuiteReport:
     """Cuntz relations, adjointness, and isometry on random step functions."""
-    validate_prime(p)
+    report = SuiteReport("cuntz", p, depth=depth, cases=cases, seed=seed)
     rng = random.Random(seed)
-    report = SuiteReport("cuntz", p, {"depth": depth, "cases": cases,
-                                      "seed": seed})
-    start = time.perf_counter()
     for n in range(cases):
         f = random_step_function(rng, p, random_depth(rng, p, depth))
         j = rng.randrange(p)
         created = apply_creation(j, f)
         for i in range(p):
             out = apply_annihilation(i, created)
-            want = f if i == j else StepFunction.zero(p, f.depth)
-            report.check(f"aac[{n}] A_{i}A†_{j}", out == want,
+            report.check(f"aac[{n}] A_{i}A†_{j}",
+                         out == f if i == j else out.is_zero(),
                          "δ_ij·f", "differs")
-        total = None
-        for i in range(p):
-            term = apply_creation(i, apply_annihilation(i, f))
-            total = term if total is None else total + term
+        total = reduce(add, (apply_creation(i, apply_annihilation(i, f))
+                             for i in range(p)))
         report.check(f"cuntz[{n}] ΣA†A", total == f, "f", "differs")
         g = random_step_function(rng, p, random_depth(rng, p, depth))
         i = rng.randrange(p)
@@ -142,8 +150,7 @@ def suite_cuntz(p: int, depth: int = 5, cases: int = 200,
         report.check(f"isometry[{n}]",
                      cf.inner(cf) == norm and norm.is_real(),
                      "‖f‖²", "differs")
-    report.wall_time = time.perf_counter() - start
-    return report
+    return report.done()
 
 
 def suite_gns(p: int, depth: int = 4, sample: int = 10_000,
@@ -152,29 +159,28 @@ def suite_gns(p: int, depth: int = 4, sample: int = 10_000,
 
     Samples are drawn with replacement; each distinct sampled pair is
     evaluated once per call, and each draw is still its own case."""
-    validate_prime(p)
+    report = SuiteReport("gns", p, depth=depth, sample=sample, seed=seed)
     rng = random.Random(seed)
-    report = SuiteReport("gns", p, {"depth": depth, "sample": sample,
-                                    "seed": seed})
-    start = time.perf_counter()
+    # a pair's (value, closed form); the sampled loop memoizes it for one
+    # call, and a pair whose self-check raises is not stored, so it fails
+    # every draw.  No sampled pair is exhaustive (one word has length
+    # depth > 3), so the exhaustive loop calls it unmemoized
+    def pair(I, J):
+        return gns_state(p, I, J), Scalar.root_p_power(p, -(len(I) + len(J)))
+    state = cache(pair)
     exhaustive = min(depth, 3)
     small = list(words_up_to(p, exhaustive))
     for I in small:
         for J in small:
             case = f"state({word_str(I, p)!r},{word_str(J, p)!r})"
             with report.guard(case):
-                value = gns_state(p, I, J)   # self-checking
-                expected = Scalar.root_p_power(p, -(len(I) + len(J)))
+                value, expected = pair(I, J)   # self-checking
                 report.check(case, value == expected, expected, value)
     if depth > exhaustive:
         # draw word indices in words_up_to order: randrange(n) takes the
         # same random bits as choice() over a list of n words, without
         # listing p^depth of them; the few distinct words decode once
         word = cache(partial(word_at, p))
-        # each distinct pair's (value, closed form), once per call; a pair
-        # whose self-check raises is not stored, so it fails every draw
-        state = cache(lambda I, J: (
-            gns_state(p, I, J), Scalar.root_p_power(p, -(len(I) + len(J)))))
         boundary = p ** depth
         shorter = (boundary - 1) // (p - 1)   # words of length < depth
         for n in range(sample):
@@ -186,18 +192,15 @@ def suite_gns(p: int, depth: int = 4, sample: int = 10_000,
             with report.guard(case):
                 value, expected = state(I, J)
                 report.check(case, value == expected, expected, value)
-    report.wall_time = time.perf_counter() - start
-    return report
+    return report.done()
 
 
 def suite_pairing(p: int, maxlen: int = 3, trunc: int = 6, cases: int = 25,
                   seed: int = 0) -> SuiteReport:
     """Pairing-vs-L² Gram, cascade, expansion self-check, eigen residuals."""
-    validate_prime(p)
+    report = SuiteReport("pairing", p, maxlen=maxlen, trunc=trunc,
+                         cases=cases, seed=seed)
     rng = random.Random(seed)
-    report = SuiteReport("pairing", p, {"maxlen": maxlen, "trunc": trunc,
-                                        "cases": cases, "seed": seed})
-    start = time.perf_counter()
     with report.guard("gram-equality", "gram-stabilization"):
         basis, ren, l2, equal, max_stab = gram_matrices(p, maxlen)
         size = sum(p ** k for k in range(maxlen + 1))
@@ -236,18 +239,14 @@ def suite_pairing(p: int, maxlen: int = 3, trunc: int = 6, cases: int = 25,
             report.check(f"stabilization-bound[{n}]",
                          series.stabilized_at <= max(s.depth, t.depth),
                          "k₀ ≤ max depth", f"k₀ = {series.stabilized_at}")
-    report.wall_time = time.perf_counter() - start
-    return report
+    return report.done()
 
 
 def suite_trep(p: int, maxlen: int = 3, cases: int = 25,
                seed: int = 0) -> SuiteReport:
     """T-operator Cuntz relations, intertwining, adjointness, word-level check."""
-    validate_prime(p)
+    report = SuiteReport("trep", p, maxlen=maxlen, cases=cases, seed=seed)
     rng = random.Random(seed)
-    report = SuiteReport("trep", p, {"maxlen": maxlen, "cases": cases,
-                                     "seed": seed})
-    start = time.perf_counter()
     states = [(f"X_{word_str(w, p) or 'Ω'}", indicator_state(p, w))
               for w in words_up_to(p, maxlen)]
     states += [(f"rand[{n}]", random_coherent_state(rng, p))
@@ -256,14 +255,10 @@ def suite_trep(p: int, maxlen: int = 3, cases: int = 25,
         for i in range(p):
             for j in range(p):
                 out = t_op(i, t_dagger(j, s))
-                want = s if i == j else CoherentState(
-                    StepFunction.zero(p, s.depth))
-                report.check(f"T_iT†_j({name},{i},{j})", out == want,
+                report.check(f"T_iT†_j({name},{i},{j})",
+                             out == s if i == j else out.is_zero(),
                              "δ_ij·s", "differs")
-        total = None
-        for i in range(p):
-            term = t_dagger(i, t_op(i, s))
-            total = term if total is None else total + term
+        total = reduce(add, (t_dagger(i, t_op(i, s)) for i in range(p)))
         report.check(f"ΣT†T({name})", total == s, "s", "differs")
         i = rng.randrange(p)
         report.check(f"intertwine-create({name},{i})",
@@ -282,28 +277,23 @@ def suite_trep(p: int, maxlen: int = 3, cases: int = 25,
             report.check(f"T-adjoint[{n}]", lhs == rhs, rhs, lhs)
         N = 5
         s = random_coherent_state(rng, p, max_depth=2)
-        with report.guard(f"T†-two-paths[{n}]"):
-            report.check(f"T†-two-paths[{n}]",
-                         t_dagger_fock(i, s, N) == to_fock_truncated(
-                             t_dagger(i, s), N),
-                         "generator path == word path", "differ")
-        with report.guard(f"T-two-paths[{n}]"):
-            report.check(f"T-two-paths[{n}]",
-                         t_op_fock(i, s, N) == to_fock_truncated(
-                             t_op(i, s), N),
-                         "generator path == word path", "differ")
-    report.wall_time = time.perf_counter() - start
-    return report
+        for op, by_generator, by_words in (
+                ("T†", t_dagger_fock, t_dagger), ("T", t_op_fock, t_op)):
+            case = f"{op}-two-paths[{n}]"
+            with report.guard(case):
+                same = by_generator(i, s, N) == to_fock_truncated(
+                    by_words(i, s), N)
+                report.check(case, same, "generator path == word path",
+                             "differ")
+    return report.done()
 
 
 def suite_af(p: int, maxlen: int = 2, trunc: int = 6, cases: int = 25,
              seed: int = 0) -> SuiteReport:
     """Antifock state values, Leibnitz residuals, AF bridge residuals."""
-    validate_prime(p)
+    report = SuiteReport("af", p, maxlen=maxlen, trunc=trunc, cases=cases,
+                         seed=seed)
     rng = random.Random(seed)
-    report = SuiteReport("af", p, {"maxlen": maxlen, "trunc": trunc,
-                                   "cases": cases, "seed": seed})
-    start = time.perf_counter()
     for I in words_up_to(p, maxlen):
         for J in words_up_to(p, maxlen):
             case = f"af-state({word_str(I, p)!r},{word_str(J, p)!r})"
@@ -323,20 +313,18 @@ def suite_af(p: int, maxlen: int = 2, trunc: int = 6, cases: int = 25,
         i = rng.randrange(p)
         with report.guard(f"af-bridge-create[{n}]",
                           f"af-bridge-annihilate[{n}]"):
-            for side, r in zip(("create", "annihilate"),
-                               af_relation_residual(i, s, trunc)):
-                bad = [k for k in r.support_lengths() if k < trunc]
-                report.check(f"af-bridge-{side}[{n}]", not bad,
-                             "zero below boundary", f"{len(bad)} lengths")
-    report.wall_time = time.perf_counter() - start
-    return report
+            first, second = af_relation_residual(i, s, trunc)
+            report.check(f"af-bridge-create[{n}]", first.is_zero(), "zero",
+                         f"lengths {sorted(first.support_lengths())}")
+            bad = [k for k in second.support_lengths() if k < trunc]
+            report.check(f"af-bridge-annihilate[{n}]", not bad,
+                         "zero below boundary", f"{len(bad)} lengths")
+    return report.done()
 
 
 def suite_cyclicity(p: int, depth: int = 4) -> SuiteReport:
     """Creation chains on 1 span the depth-k indicators (cyclic vector)."""
-    validate_prime(p)
-    report = SuiteReport("cyclicity", p, {"depth": depth})
-    start = time.perf_counter()
+    report = SuiteReport("cyclicity", p, depth=depth)
     for k in range(depth + 1):
         with report.guard(f"span(k={k})"):
             basis = cyclicity_basis(p, k)   # self-checking against indicators
@@ -345,8 +333,7 @@ def suite_cyclicity(p: int, depth: int = 4) -> SuiteReport:
             report.check(f"span(k={k})", len(basis) == distinct == p ** k,
                          f"{p ** k} functions",
                          f"{len(basis)}, {distinct} distinct")
-    report.wall_time = time.perf_counter() - start
-    return report
+    return report.done()
 
 
 def run_suites(name: str, p: int, depth: int = 4, trunc: int = 6,
@@ -364,13 +351,12 @@ def run_suites(name: str, p: int, depth: int = 4, trunc: int = 6,
     if trunc < 1:
         raise ParameterError(f"truncation must be at least 1, got {trunc}")
     cap = stepfunctions.VALUE_CAP
-    # each family's largest array or case count, refused before any draw:
-    # p^depth > cap iff p^min(depth, bits) > cap, as p ≥ 2 (see _check_cap)
+    # each family's largest array or case count, refused before any draw
     ladder = min(depth, 5)   # A†_i on a depth-`ladder` function
     lengths = {"trep": min(depth, wide), "af": min(depth, wide - 1)}
     words = {s: sum(p ** k for k in range(n + 1)) for s, n in lengths.items()}
     limits = (
-        ("gns", p ** min(depth, cap.bit_length()),
+        ("gns", p ** _cap_exponent(depth),
          f"gns depth {depth}: the boundary words' p^depth = {p}^{depth} "
          f"values exceed the cap {cap}"),
         ("cuntz", p ** (ladder + 1), f"cuntz suite: A†_i on depth {ladder}: "

@@ -22,14 +22,14 @@ Word = tuple[int, ...]
 def validate_word(word, p: int) -> Word:
     w = tuple(word)
     for d in w:
-        if not isinstance(d, int) or not 0 <= d < p:
+        if type(d) is not int or not 0 <= d < p:   # a bool is not a digit
             raise InvalidDigitError(f"digit {d!r} out of range [0, {p})")
     return w
 
 
 def check_letter(i: int, p: int) -> None:
     """Reject a ladder-operator letter outside [0, p)."""
-    if not isinstance(i, int) or not 0 <= i < p:
+    if type(i) is not int or not 0 <= i < p:   # a bool is not a letter
         raise InvalidLetterError(f"letter {i!r} out of range [0, {p})")
 
 

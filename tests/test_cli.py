@@ -1,12 +1,13 @@
 """CLI surface: determinism, exit codes, JSON round trips."""
 
 import json
+import re
 import time
 
 import pytest
 
 import padic_cuntz.suites as suites
-from padic_cuntz import (Scalar, SelfCheckError, StepFunction,
+from padic_cuntz import (FockVector, Scalar, SelfCheckError, StepFunction,
                          apply_operator_word, parse_operator_word)
 from padic_cuntz.cli import main
 
@@ -341,3 +342,65 @@ def test_verify_renders_values_of_failed_cases_only(monkeypatch, capsys):
     (report,) = json.loads(out)
     assert report["failures"] == [
         {"case": "state('0','1')", "expected": "1/2", "actual": "3/2"}]
+
+
+def test_every_suite_report_keeps_its_time():
+    # the golden file masks wall_time, so a report never done() reads 0.0
+    reports = suites.run_suites("all", 2)
+    assert [r.suite for r in reports] == [
+        "cuntz", "cyclicity", "gns", "pairing", "trep", "af"]
+    assert all(r.wall_time > 0 for r in reports)
+
+
+def test_aac_fails_where_an_annihilation_leaks(monkeypatch):
+    # A_i A†_j returns 1 instead of 0: every i ≠ j case fails, i = j passes
+    real = suites.apply_annihilation
+
+    def leaky(i, f):
+        out = real(i, f)
+        return StepFunction.constant(f.p, 1) if out.is_zero() else out
+
+    monkeypatch.setattr(suites, "apply_annihilation", leaky)
+    rows = [r for r in suites.suite_cuntz(3, depth=2, cases=6).failures
+            if r["case"].startswith("aac[")]
+    assert len(rows) == 6 * 2
+    for row in rows:
+        i, j = re.fullmatch(r"aac\[\d+\] A_(\d)A†_(\d)",
+                            row["case"]).groups()
+        assert i != j
+        assert (row["expected"], row["actual"]) == ("δ_ij·f", "differs")
+
+
+def test_t_cuntz_relation_fails_where_t_leaks(monkeypatch):
+    # T_i T†_j returns a nonzero state where δ_ij = 0
+    real = suites.t_op
+
+    def leaky(i, s):
+        out = real(i, s)
+        return (suites.CoherentState(StepFunction.constant(s.p, 1))
+                if out.is_zero() else out)
+
+    monkeypatch.setattr(suites, "t_op", leaky)
+    report = suites.suite_trep(2, maxlen=1, cases=2)
+    rows = [r for r in report.failures if r["case"].startswith("T_iT†_j(")]
+    names = ["X_Ω", "X_0", "X_1", "rand[0]", "rand[1]"]
+    assert [r["case"] for r in rows] == [
+        f"T_iT†_j({name},{i},{1 - i})" for name in names for i in (0, 1)]
+    assert {(r["expected"], r["actual"]) for r in rows} == {
+        ("δ_ij·s", "differs")}
+
+
+def test_af_bridge_create_fails_on_a_boundary_residual(monkeypatch):
+    # the create-side residual vanishes at every length, the truncation
+    # length included, so support only there is still a failure
+    trunc = 4
+
+    def residual(i, s, N):
+        assert N == trunc
+        return FockVector.basis(s.p, (0,) * N), FockVector.zero(s.p)
+
+    monkeypatch.setattr(suites, "af_relation_residual", residual)
+    report = suites.suite_af(2, maxlen=1, trunc=trunc, cases=3)
+    assert [r for r in report.failures if "af-bridge" in r["case"]] == [
+        {"case": f"af-bridge-create[{n}]", "expected": "zero",
+         "actual": "lengths [4]"} for n in range(3)]

@@ -97,8 +97,9 @@ def test_af_examples():
 def test_invalid_letters():
     omega = FockVector.vacuum(2)
     for op in (fock_create, fock_annihilate, af_create, af_annihilate):
-        with pytest.raises(InvalidLetterError):
-            op(2, omega)
+        for bad in (2, True):   # a bool is not a letter
+            with pytest.raises(InvalidLetterError):
+                op(bad, omega)
 
 
 def test_inner_examples():

@@ -22,8 +22,9 @@ def test_creation_examples():
     assert [v.pretty() for v in g.values] == ["0", "2", "0", "0"]
     z = StepFunction.zero(2, 1)
     assert apply_creation(0, z).is_zero()
-    with pytest.raises(InvalidLetterError):
-        apply_creation(2, one)
+    for bad in (2, True):   # a bool is not a letter
+        with pytest.raises(InvalidLetterError):
+            apply_creation(bad, one)
 
 
 def test_creation_moves_disks():

@@ -27,6 +27,8 @@ def test_indicator_invalid_digit():
         indicator(2, [2])
     with pytest.raises(InvalidDigitError):
         indicator(3, (0, 3))
+    with pytest.raises(InvalidDigitError):   # a bool is not a digit
+        indicator(2, (True, False))
 
 
 def test_refine_examples():
