@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from . import stepfunctions
 from .errors import NotStabilizedError, ParameterError, SelfCheckError
-from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
-                   create_sum)
+from .fock import (FockVector, _af_annihilate_word, _af_create_word,
+                   af_annihilate, af_create, annihilate_sum, create_sum)
 from .representation import apply_annihilation, apply_creation
 from .scalars import Scalar, validate_prime
 from .stepfunctions import StepFunction, _cap_exponent, coset_index, indicator
@@ -178,12 +178,12 @@ def pairing_series(a: CoherentState, b: CoherentState) -> PairingSeries:
                    [b.layer(k) for k in range(kmax + 1)], kmax)
 
 
-def _series(la: list, lb: list, kmax: int) -> PairingSeries:
+def _series(la: list, lb: list, kmax: int, shift: int = 0) -> PairingSeries:
     """The series of two layer lists through length kmax, c_k =
-    p^{2k}·⟨la[k], lb[k]⟩, stabilized at the smallest k₀ with c_{k₀} = … =
-    c_kmax: ≥ 2 corroborating terms.  The p^{2k} joins lb[k]'s exponent,
-    so ``inner``'s rescale is the only one per length."""
-    terms = [la[k].inner(lb[k].mul_root_p_power(4 * k))
+    p^{2k + shift/2}·⟨la[k], lb[k]⟩, stabilized at the smallest k₀ with
+    c_{k₀} = … = c_kmax: ≥ 2 corroborating terms.  The factor joins lb[k]'s
+    exponent, so ``inner``'s rescale is the only one per length."""
+    terms = [la[k].inner(lb[k].mul_root_p_power(4 * k + shift))
              for k in range(kmax + 1)]
     k0 = kmax
     while k0 > 0 and terms[k0 - 1] == terms[kmax]:
@@ -260,7 +260,8 @@ def af_state_value(p: int, I: Word, J: Word, N: int | None = None) -> Scalar:
     """⟨1̂, AF(A†_I A_J) 1̂⟩ via the stabilized per-length series.
 
     1̂ is the truncated expansion of the constant-generator state; the
-    right ladder operators realize AF.  The stabilized value equals
+    right ladder operators realize AF, a word as one move per layer, so a
+    length costs one pairing.  The stabilized value equals
     p^{−(|I|+|J|)/2}, the same number the state integral produces.
     """
     validate_prime(p)
@@ -269,19 +270,14 @@ def af_state_value(p: int, I: Word, J: Word, N: int | None = None) -> Scalar:
     needed = len(I) + len(J) + 3
     if N is None:
         N = needed
-    one_hat = v = _one_hat(p, N)
-    for j in reversed(J):   # rightmost factor of AF(A_J) is AF(A_{j_last})
-        v = af_annihilate(j, v)
-    for i in I:             # rightmost factor of AF(A†_I) is AF(A†_{i₀})
-        v = af_create(i, v)
+    one_hat = _one_hat(p, N)
+    v = _af_create_word(I, _af_annihilate_word(J, one_hat))
     # length k carries λ^{k+shift}, which is p^{shift/2}·λ^k at λ = √p
     zero = StepFunction.zero(p)
-    kmax = max(v.support_lengths(), default=0)
-    la = [one_hat.layers[k] for k in range(kmax + 1)]
-    lb = [v.layers.get(k, zero).mul_root_p_power(v.shift)
-          for k in range(kmax + 1)]
+    kmax = max(v.support_lengths(), default=0)   # ≤ N: 1̂ has every length
+    lb = [v.layers.get(k, zero) for k in range(kmax + 1)]
     try:
-        return _series(la, lb, kmax).value
+        return _series(one_hat.layers, lb, kmax, v.shift).value
     except NotStabilizedError:
         raise NotStabilizedError(
             f"antifock series did not stabilize at N={N}; "

@@ -10,14 +10,15 @@ A layer shallower than k reads only the first ``depth`` letters, so the
 expansion of a depth-d state costs p^{min(k, d)} values at length k.
 
 ``af_create``/``af_annihilate`` prepend / strip the FIRST letter (lowest
-digit; the right "antifock" action behind the T-operators): the
-interleave and stride-p slice of ``representation``.  ``fock_create``/
-``fock_annihilate`` append / strip the LAST letter (top digit; the left
-action).  The sums over that letter are layer moves: ``create_sum``
-lifts a layer one length as is, and ``annihilate_sum`` sums out the top
-digit.  ``fock_create`` alone tiles a layer to full depth.  Creation
-beyond the truncation counts the dropped words in ``spilled``: data,
-not errors.
+digit; the right "antifock" action behind the T-operators), and
+``_af_*_word`` a whole word, as one interleave or slice of
+``representation`` per layer.  ``fock_create``/``fock_annihilate``
+append / strip the LAST letter (top digit; the left action).  The sums
+over that letter are layer moves: ``create_sum`` lifts a layer one
+length as is, and ``annihilate_sum`` sums out the top digit.
+``fock_create`` alone tiles a layer to full depth.  A layer that
+creation would move past the truncation is dropped, and its words are
+counted once in ``spilled``: data, not errors.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from . import stepfunctions
 from .errors import CapExceededError, SelfCheckError
 from .scalars import Scalar, validate_prime
+from .representation import _interleave, _offset, _slice
 from .stepfunctions import StepFunction, _check_cap, coset_index
 from .words import Word, check_letter, word_str, words_of_length
 
@@ -106,7 +108,7 @@ class FockVector:
         """(n, c) with the word's coefficient c·λ^n; (0, 0) if absent."""
         w = tuple(word)
         f = self.layers.get(len(w))
-        if f is not None and all(isinstance(d, int) and 0 <= d < self.p
+        if f is not None and all(type(d) is int and 0 <= d < self.p
                                  for d in w):
             c = f.raw[coset_index(f.p, w[:f.depth])]
             if c:
@@ -198,26 +200,26 @@ class FockVector:
                           for w, (n, c) in items}}
 
 
-def _create(v: FockVector, layer, letters: int = 1) -> FockVector:
-    """Move layers up one length (so the shift drops by one); those at
-    the truncation spill, each word once per letter created."""
+def _create(v: FockVector, layer, letters=1, copies=1) -> FockVector:
+    """Move layers up ``letters`` lengths (the shift drops as much); one
+    that would pass the truncation spills ``copies`` words per word."""
     out, spilled = {}, v.spilled
     for k, f in v.layers.items():
-        if v.truncation is not None and k >= v.truncation:
-            spilled += letters * sum(map(bool, f.raw)) * v.p ** (k - f.depth)
+        if v.truncation is not None and k + letters > v.truncation:
+            spilled += copies * sum(map(bool, f.raw)) * v.p ** (k - f.depth)
         else:
-            out[k + 1] = layer(k, f)
-    return FockVector._raw(v.p, out, v.truncation, spilled, v.shift - 1)
+            out[k + letters] = layer(k, f)
+    return FockVector._raw(v.p, out, v.truncation, spilled, v.shift - letters)
 
 
-def _annihilate(v: FockVector, layer) -> FockVector:
-    """Move each layer off the vacuum length down one (shift up one)."""
+def _annihilate(v: FockVector, layer, letters=1) -> FockVector:
+    """Move layers of length ≥ ``letters`` down as many (shift up as many)."""
     out = {}
     for k, f in v.layers.items():
-        g = layer(k, f) if k else None
-        if g is f or g is not None and not g.is_zero():
-            out[k - 1] = g
-    return v._with(out, 1)
+        g = layer(k, f) if k >= letters else None
+        if g is not None and (g.raw is f.raw or not g.is_zero()):
+            out[k - letters] = g
+    return v._with(out, letters)
 
 
 def fock_create(i: int, v: FockVector) -> FockVector:
@@ -247,32 +249,32 @@ def fock_annihilate(i: int, v: FockVector) -> FockVector:
 
 
 def af_create(i: int, v: FockVector) -> FockVector:
-    """Right multiplication by A†_i: prepend i as the first letter (the
-    interleave out[i::p] = raw of ``apply_creation``, without its √p)."""
-    # inlined (so is af_annihilate): apply_* plus a √p rescale ran slower
-    check_letter(i, v.p)
-    zero = Scalar.zero(v.p)
-
-    def layer(k, f):
-        out = [zero] * _check_cap(v.p, f.depth + 1)
-        out[i::v.p] = f.raw
-        return StepFunction._raw(v.p, f.depth + 1, tuple(out), f.exp)
-    return _create(v, layer)
+    """Right multiplication by A†_i: prepend i as the first letter."""
+    return _af_create_word((i,), v)
 
 
 def af_annihilate(i: int, v: FockVector) -> FockVector:
-    """Right action of A_i: keep words whose first letter is i, stripped
-    (the slice raw[i::p] of ``apply_annihilation``, without its √p)."""
-    check_letter(i, v.p)
-    return _annihilate(v, lambda k, f: StepFunction._raw(
-        v.p, f.depth - 1, f.raw[i::v.p], f.exp) if f.depth else f)
+    """Right action of A_i: keep words whose first letter is i, stripped."""
+    return _af_annihilate_word((i,), v)
+
+
+def _af_create_word(I: Word, v: FockVector) -> FockVector:
+    """AF(A†_I): prepend I reversed to every word (no p^{|I|/2} factor)."""
+    offset, k = _offset(v.p, I), len(I)
+    return _create(v, lambda n, f: _interleave(f, offset, k, 0), k)
+
+
+def _af_annihilate_word(J: Word, v: FockVector) -> FockVector:
+    """AF(A_J): keep the words that begin with J reversed, stripped."""
+    offset, k = _offset(v.p, J), len(J)
+    return _annihilate(v, lambda n, f: _slice(f, offset, k, 0), k)
 
 
 def create_sum(v: FockVector) -> FockVector:
     """(Σ_i A†_i)·v — every word extended by each last letter.  A layer
     reads only its first ``depth`` letters, so it moves up one length as
     is; one at the truncation spills p words per word."""
-    return _create(v, lambda k, f: f, v.p)
+    return _create(v, lambda k, f: f, copies=v.p)
 
 
 def annihilate_sum(v: FockVector) -> FockVector:

@@ -5,8 +5,10 @@ annihilation sends ξ(x) to p^{−1/2}·ξ(i+px) (depth goes down by one,
 constants stay constants).  Under the coset index encoding n = Σ d_j p^j
 both are pure index arithmetic on the raw values of a step function
 p^{e/2}·raw: creation interleaves, (e+1, zeros with out[i::p] = raw), and
-annihilation takes a stride-p slice, (e−1, raw[i::p]).  Neither does any
-scalar arithmetic.
+annihilation takes a stride-p slice, (e−1, raw[i::p]).  A word acts as
+one contraction x ↦ c + p^k·x (c the coset index of the reversed word),
+so A†_I is one interleave at stride p^{|I|} and A_J one slice.  None of
+them does any scalar arithmetic.
 
 These operators satisfy the Cuntz relations on the nose:
 A_i A†_j = δ_ij and Σ_i A†_i A_i = 1, and are mutually adjoint for the
@@ -15,73 +17,84 @@ L² pairing with normalized Haar measure.
 
 from __future__ import annotations
 
+import re
+from itertools import groupby
+from operator import itemgetter
+
 from .errors import OperatorParseError, SelfCheckError
 from .scalars import Scalar, validate_prime
-from .stepfunctions import StepFunction, _check_cap, indicator
+from .stepfunctions import StepFunction, _check_cap, coset_index, indicator
 from .words import (Word, check_letter, validate_word, word_str,
                     words_of_length)
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
+_FACTOR = re.compile(r"a([0-9]*)(\*?)")   # ASCII digits only
+
+
+def _offset(p: int, word: Word) -> int:
+    """coset_index of the reversed word, each letter checked."""
+    for i in word:
+        check_letter(i, p)
+    return coset_index(p, word[::-1])
+
+
+def _interleave(f: StepFunction, offset: int, k: int, e: int) -> StepFunction:
+    """A†_I f over p^{(exp+e)/2} for offset = _offset(I), k = |I|: the raw
+    values at the indices offset + p^k·m, zeros elsewhere."""
+    p = f.p
+    out = [Scalar.zero(p)] * _check_cap(p, f.depth + k)
+    out[offset::p ** k] = f.raw
+    return StepFunction._raw(p, f.depth + k, tuple(out), f.exp + e)
+
+
+def _slice(f: StepFunction, offset: int, k: int, e: int) -> StepFunction:
+    """A_J f over p^{(exp+e)/2} for offset = _offset(J), k = |J|: the slice
+    raw[offset::p^k], stopped at depth 0, where a constant only rescales."""
+    k = min(k, f.depth)
+    m = f.p ** k
+    return StepFunction._raw(f.p, f.depth - k, f.raw[offset % m::m], f.exp + e)
 
 
 def apply_creation(i: int, f: StepFunction) -> StepFunction:
     """A†_i f: value √p·f(m) at coset index i + p·m, zero elsewhere."""
-    p = f.p
-    check_letter(i, p)
-    out = [Scalar.zero(p)] * _check_cap(p, f.depth + 1)
-    out[i::p] = f.raw
-    return StepFunction._raw(p, f.depth + 1, tuple(out), f.exp + 1)
+    check_letter(i, f.p)
+    return _interleave(f, i, 1, 1)
 
 
 def apply_annihilation(i: int, f: StepFunction) -> StepFunction:
     """A_i f: value p^{−1/2}·f(i + p·m) at index m; constants scale."""
-    p = f.p
-    check_letter(i, p)
-    if f.depth == 0:
-        return StepFunction._raw(p, 0, f.raw, f.exp - 1)
-    return StepFunction._raw(p, f.depth - 1, f.raw[i::p], f.exp - 1)
+    check_letter(i, f.p)
+    return _slice(f, i, 1, -1)
 
 
 def parse_operator_word(text: str) -> tuple[tuple[str, int], ...]:
     """Parse 'a1* a0* a1' into (kind, letter) factors, leftmost outermost;
     * marks creators."""
     factors = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        if text[pos] != "a":
+    for token in re.finditer(r"\S+", text):
+        m = _FACTOR.match(text, pos := token.start())
+        if m is None:
+            raise OperatorParseError(f"expected 'a', found {text[pos]!r}", pos)
+        if not m[1]:
+            raise OperatorParseError("expected a letter index after 'a'",
+                                     pos + 1)
+        if m.end() < token.end():
             raise OperatorParseError(
-                f"expected 'a', found {text[pos]!r}", pos)
-        pos += 1
-        digits = ""
-        while pos < n and "0" <= text[pos] <= "9":
-            digits += text[pos]
-            pos += 1
-        if not digits:
-            raise OperatorParseError("expected a letter index after 'a'", pos)
-        kind = ANNIHILATE
-        if pos < n and text[pos] == "*":
-            kind = CREATE
-            pos += 1
-        if pos < n and not text[pos].isspace():
-            raise OperatorParseError(
-                f"unexpected character {text[pos]!r}", pos)
-        factors.append((kind, int(digits)))
+                f"unexpected character {text[m.end()]!r}", m.end())
+        factors.append((CREATE if m[2] else ANNIHILATE, int(m[1])))
     return tuple(factors)
 
 
 def apply_operator_word(factors: tuple[tuple[str, int], ...],
                         f: StepFunction) -> StepFunction:
-    """Compose (kind, letter) factors right-to-left (last acts first)."""
-    for kind, letter in reversed(factors):
-        if kind == CREATE:
-            f = apply_creation(letter, f)
-        elif kind == ANNIHILATE:
-            f = apply_annihilation(letter, f)
+    """Compose factors right-to-left, each run of one kind as one move."""
+    for kind, run in groupby(reversed(factors), key=itemgetter(0)):
+        w = tuple(letter for _, letter in run)   # first to act first
+        if kind == CREATE:   # A†_I with I = w
+            f = creation_chain(f.p, w, f)
+        elif kind == ANNIHILATE:   # A_J with J = w reversed, as written
+            f = _slice(f, _offset(f.p, w[::-1]), len(w), -len(w))
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
     return f
@@ -89,27 +102,26 @@ def apply_operator_word(factors: tuple[tuple[str, int], ...],
 
 def creation_chain(p: int, I: Word,
                    f: StepFunction | None = None) -> StepFunction:
-    """A†_I f = A†_{i_{k−1}}···A†_{i₀} f (defaults to the constant 1)."""
+    """A†_I f = A†_{i_{k−1}}···A†_{i₀} f (defaults to the constant 1), as
+    one interleave at stride p^{|I|}."""
     if f is None:
         f = StepFunction.constant(p, 1)
-    for i in I:  # rightmost factor A†_{i₀} acts first
-        f = apply_creation(i, f)
-    return f
+    return _interleave(f, _offset(f.p, I), len(I), len(I))
 
 
 def gns_state(p: int, I: Word, J: Word) -> Scalar:
     """⟨A†_I A_J⟩ computed as ∫ (A†_I A_J·1) dμ, self-checked.
 
-    The integral must equal p^{−(|I|+|J|)/2} exactly; a disagreement
-    raises SelfCheckError, since the two paths are each other's oracle.
+    The integral of A†_I (one interleave) on A_J·1 (a constant) must be
+    p^{−(|I|+|J|)/2}: each path is the other's oracle (SelfCheckError).
     """
     validate_prime(p)
     I = validate_word(I, p)
     J = validate_word(J, p)
-    f = StepFunction.constant(p, 1)
-    for j in reversed(J):   # A_J: its last letter acts first
-        f = apply_annihilation(j, f)
-    value = creation_chain(p, I, f).integrate()
+    one = StepFunction._raw(p, 0, (Scalar.one(p),))   # I, J checked above
+    f = _slice(one, coset_index(p, J[::-1]), len(J), -len(J))
+    f = _interleave(f, coset_index(p, I[::-1]), len(I), len(I))
+    value = f.integrate()
     expected = Scalar.root_p_power(p, -(len(I) + len(J)))
     if value != expected:
         raise SelfCheckError(

@@ -167,6 +167,8 @@ class StepFunction:
         """Raw values summed over each coset at a depth ≤ self.depth."""
         if depth == self.depth:
             return self.raw
+        if depth == 0:
+            return (Scalar.sum(self.p, self.raw),)
         m, raw = self.p ** depth, self.raw
         return tuple(Scalar.sum(self.p, raw[n::m]) for n in range(m))
 
@@ -178,7 +180,8 @@ class StepFunction:
         """
         if not isinstance(other, StepFunction) or other.p != self.p:
             raise ValueError("operands must be StepFunctions over the same p")
-        k, depth = sorted((self.depth, other.depth))
+        k, depth = (self.depth, other.depth) if self.depth <= other.depth \
+            else (other.depth, self.depth)
         total = Scalar.dot(self.p, self.coset_sums(k), other.coset_sums(k))
         return total.mul_root_p_power(self.exp + other.exp - 2 * depth)
 

@@ -58,8 +58,8 @@ class SuiteReport:
                 {"case": case_id, "expected": expected, "actual": actual})
 
     # guard names its cases and check names each one again: a checker bound
-    # to the case ids, handed out by guard, costs a call per case and made
-    # the sampled gns loop, the bulk of a verify run, slower
+    # to the case ids costs a call per case.  The sampled gns loop, the bulk
+    # of a verify run, checks each pair's stored outcome without a guard
     @contextmanager
     def guard(self, *case_ids: str):
         """Run the checks of the named cases.  A self-check error inside
@@ -158,29 +158,29 @@ def suite_gns(p: int, depth: int = 4, sample: int = 10_000,
     """State values: exhaustive through length 3, sampled at the boundary.
 
     Samples are drawn with replacement; each distinct sampled pair is
-    evaluated once per call, and each draw is still its own case."""
+    evaluated and compared once per call; each draw is its own case."""
     report = SuiteReport("gns", p, depth=depth, sample=sample, seed=seed)
     rng = random.Random(seed)
-    # a pair's (value, closed form); the sampled loop memoizes it for one
-    # call, and a pair whose self-check raises is not stored, so it fails
-    # every draw.  No sampled pair is exhaustive (one word has length
-    # depth > 3), so the exhaustive loop calls it unmemoized
-    def pair(I, J):
-        return gns_state(p, I, J), Scalar.root_p_power(p, -(len(I) + len(J)))
-    state = cache(pair)
+    # a pair's (ok, expected, actual), a raised self-check as actual; only
+    # sampled pairs are memoized, per call (one word has length depth > 3)
+    def outcome(I, J):
+        try:
+            value = gns_state(p, I, J)   # self-checking
+        except (SelfCheckError, NotStabilizedError) as exc:
+            return False, "identity", f"{type(exc).__name__}: {exc}"
+        expected = Scalar.root_p_power(p, -(len(I) + len(J)))
+        return value == expected, expected, value
     exhaustive = min(depth, 3)
     small = list(words_up_to(p, exhaustive))
     for I in small:
         for J in small:
-            case = f"state({word_str(I, p)!r},{word_str(J, p)!r})"
-            with report.guard(case):
-                value, expected = pair(I, J)   # self-checking
-                report.check(case, value == expected, expected, value)
+            report.check(f"state({word_str(I, p)!r},{word_str(J, p)!r})",
+                         *outcome(I, J))
     if depth > exhaustive:
         # draw word indices in words_up_to order: randrange(n) takes the
         # same random bits as choice() over a list of n words, without
         # listing p^depth of them; the few distinct words decode once
-        word = cache(partial(word_at, p))
+        word, stored = cache(partial(word_at, p)), cache(outcome)
         boundary = p ** depth
         shorter = (boundary - 1) // (p - 1)   # words of length < depth
         for n in range(sample):
@@ -188,10 +188,7 @@ def suite_gns(p: int, depth: int = 4, sample: int = 10_000,
             J = word(rng.randrange(shorter + boundary))
             if rng.random() < 0.5:
                 I, J = J, I
-            case = f"state-sample[{n}]"
-            with report.guard(case):
-                value, expected = state(I, J)
-                report.check(case, value == expected, expected, value)
+            report.check(f"state-sample[{n}]", *stored(I, J))
     return report.done()
 
 

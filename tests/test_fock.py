@@ -94,6 +94,14 @@ def test_af_examples():
     assert af_annihilate(0, omega).is_zero()
 
 
+def test_a_bool_letter_has_no_coefficient():
+    # True == 1, but a bool is not a letter: the word (True,) is absent
+    v = FockVector.basis(2, (1,))
+    assert v.coefficient((1,)) == (0, Scalar.one(2))
+    for word in ((True,), (False,), (1.0,)):
+        assert v.coefficient(word) == (0, Scalar.zero(2))
+
+
 def test_invalid_letters():
     omega = FockVector.vacuum(2)
     for op in (fock_create, fock_annihilate, af_create, af_annihilate):

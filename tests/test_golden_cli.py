@@ -44,6 +44,10 @@ def commands() -> list[list[str]]:
                 "--pretty"])
     for p in ("2", "3"):   # the default depth 4 samples boundary pairs
         out.append(["verify", "--p", p, "--suite", "gns"])
+    # two-digit letters, a mixed creator/annihilator run, a pure creator run
+    out.append(["apply", "--p", "11", "--ops", "a10* a3* a10 a7"])
+    out.append(["state", "--p", "11", "--I", "10.3", "--J", "7.0"])
+    out.append(["apply", "--p", "3", "--ops", "a2* a1* a0*", "--disk", "12"])
     return out
 
 
