@@ -182,9 +182,15 @@ def _series(la: list, lb: list, kmax: int, shift: int = 0) -> PairingSeries:
     """The series of two layer lists through length kmax, c_k =
     p^{2k + shift/2}·⟨la[k], lb[k]⟩, stabilized at the smallest k₀ with
     c_{k₀} = … = c_kmax: ≥ 2 corroborating terms.  The factor joins lb[k]'s
-    exponent, so ``inner``'s rescale is the only one per length."""
-    terms = [la[k].inner(lb[k].mul_root_p_power(4 * k + shift))
-             for k in range(kmax + 1)]
+    exponent; a pair of raw tuples met again is not paired again, its term
+    is the first one's shifted by the √p exponent gap."""
+    memo, terms = {}, []
+    for k in range(kmax + 1):
+        a, b = la[k], lb[k]
+        e, key = a.exp + b.exp + 4 * k, (id(a.raw), id(b.raw))
+        if (hit := memo.get(key)) is None:
+            memo[key] = e, (c := a.inner(b.mul_root_p_power(4 * k + shift)))
+        terms.append(c if hit is None else hit[1].mul_root_p_power(e - hit[0]))
     k0 = kmax
     while k0 > 0 and terms[k0 - 1] == terms[kmax]:
         k0 -= 1
@@ -260,9 +266,9 @@ def af_state_value(p: int, I: Word, J: Word, N: int | None = None) -> Scalar:
     """⟨1̂, AF(A†_I A_J) 1̂⟩ via the stabilized per-length series.
 
     1̂ is the truncated expansion of the constant-generator state; the
-    right ladder operators realize AF, a word as one move per layer, so a
-    length costs one pairing.  The stabilized value equals
-    p^{−(|I|+|J|)/2}, the same number the state integral produces.
+    right ladder operators realize AF, a word as one move per distinct
+    layer, and a length costs at most one pairing.  The stabilized value
+    equals p^{−(|I|+|J|)/2}, the same number the state integral produces.
     """
     validate_prime(p)
     I = validate_word(I, p)
@@ -270,6 +276,8 @@ def af_state_value(p: int, I: Word, J: Word, N: int | None = None) -> Scalar:
     needed = len(I) + len(J) + 3
     if N is None:
         N = needed
+    elif not isinstance(N, int) or isinstance(N, bool) or N < 0:
+        raise ValueError(f"truncation must be an integer ≥ 0, got {N!r}")
     one_hat = _one_hat(p, N)
     v = _af_create_word(I, _af_annihilate_word(J, one_hat))
     # length k carries λ^{k+shift}, which is p^{shift/2}·λ^k at λ = √p

@@ -12,7 +12,9 @@ expansion of a depth-d state costs p^{min(k, d)} values at length k.
 ``af_create``/``af_annihilate`` prepend / strip the FIRST letter (lowest
 digit; the right "antifock" action behind the T-operators), and
 ``_af_*_word`` a whole word, as one interleave or slice of
-``representation`` per layer.  ``fock_create``/``fock_annihilate``
+``representation`` per distinct raw tuple: layers that share one (a
+state's layers past its depth do) differ only in √p exponent, so the
+first result is shifted for the rest.  ``fock_create``/``fock_annihilate``
 append / strip the LAST letter (top digit; the left action).  The sums
 over that letter are layer moves: ``create_sum`` lifts a layer one
 length as is, and ``annihilate_sum`` sums out the top digit.
@@ -258,16 +260,29 @@ def af_annihilate(i: int, v: FockVector) -> FockVector:
     return _af_annihilate_word((i,), v)
 
 
+def _shared(move):
+    """``move``, which reads only raw, depth and exp, once per raw tuple of
+    one call (keyed by id; the input holds them); the rest shift its result."""
+    memo = {}
+
+    def layer(k, f):
+        if (hit := memo.get(id(f.raw))) is None:
+            memo[id(f.raw)] = f.exp, (g := move(f))
+            return g
+        return hit[1].mul_root_p_power(f.exp - hit[0])
+    return layer
+
+
 def _af_create_word(I: Word, v: FockVector) -> FockVector:
     """AF(A†_I): prepend I reversed to every word (no p^{|I|/2} factor)."""
     offset, k = _offset(v.p, I), len(I)
-    return _create(v, lambda n, f: _interleave(f, offset, k, 0), k)
+    return _create(v, _shared(lambda f: _interleave(f, offset, k, 0)), k)
 
 
 def _af_annihilate_word(J: Word, v: FockVector) -> FockVector:
     """AF(A_J): keep the words that begin with J reversed, stripped."""
     offset, k = _offset(v.p, J), len(J)
-    return _annihilate(v, lambda n, f: _slice(f, offset, k, 0), k)
+    return _annihilate(v, _shared(lambda f: _slice(f, offset, k, 0)), k)
 
 
 def create_sum(v: FockVector) -> FockVector:

@@ -106,7 +106,9 @@ def creation_chain(p: int, I: Word,
     one interleave at stride p^{|I|}."""
     if f is None:
         f = StepFunction.constant(p, 1)
-    return _interleave(f, _offset(f.p, I), len(I), len(I))
+    elif f.p != p:
+        raise ValueError(f"a chain over p = {p} on a function over {f.p}")
+    return _interleave(f, _offset(p, I), len(I), len(I))
 
 
 def gns_state(p: int, I: Word, J: Word) -> Scalar:

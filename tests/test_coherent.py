@@ -305,6 +305,14 @@ def test_af_state_examples():
     with pytest.raises(NotStabilizedError) as err:
         af_state_value(3, (0, 1), (2,), N=2)
     assert "need N ≥" in str(err.value)
+    with pytest.raises(NotStabilizedError, match="need N ≥ 3"):
+        af_state_value(2, (), (), 0)   # a single term has no tail
+
+
+@pytest.mark.parametrize("N", [-1, True, False, 2.0, "3"])
+def test_af_state_value_refuses_a_truncation_that_is_no_count(N):
+    with pytest.raises(ValueError, match="truncation"):
+        af_state_value(2, (), (), N)
 
 
 def test_af_state_value_matches_the_fock_inner_product():

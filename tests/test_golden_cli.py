@@ -48,6 +48,8 @@ def commands() -> list[list[str]]:
     out.append(["apply", "--p", "11", "--ops", "a10* a3* a10 a7"])
     out.append(["state", "--p", "11", "--I", "10.3", "--J", "7.0"])
     out.append(["apply", "--p", "3", "--ops", "a2* a1* a0*", "--disk", "12"])
+    # the benchmark's gram size, whose layers share raw tuples across lengths
+    out.append(["gram", "--p", "3", "--maxlen", "2"])
     return out
 
 

@@ -178,6 +178,14 @@ def test_creation_chain_matches_word_application():
                 apply_operator_word(w, StepFunction.constant(p, 1))
 
 
+def test_creation_chain_refuses_a_function_over_another_prime():
+    # as StepFunction arithmetic refuses mixed primes
+    with pytest.raises(ValueError, match="over p = 3"):
+        creation_chain(3, (1,), StepFunction.constant(2, 1))
+    assert creation_chain(2, (1,), StepFunction.constant(2, 1)) == \
+        creation_chain(2, (1,))
+
+
 def _created_by_hand(i, f):
     """A†_i f from the formula, as a function with explicit values."""
     p = f.p
