@@ -15,8 +15,7 @@ from .errors import (CapExceededError, InvalidDigitError, InvalidLetterError,
                      NotPrimeError, NotStabilizedError, OperatorParseError,
                      PadicCuntzError, ParameterError, SelfCheckError)
 from .fock import (FockVector, af_annihilate, af_create, annihilate_sum,
-                   create_sum, fock_annihilate, fock_create, fock_inner,
-                   fock_inner_by_length)
+                   create_sum)
 from .representation import (apply_annihilation, apply_creation,
                              apply_operator_word, creation_chain,
                              cyclicity_basis, gns_state, parse_operator_word)

@@ -14,13 +14,12 @@ digit; the right "antifock" action behind the T-operators), and
 ``_af_*_word`` a whole word, as one interleave or slice of
 ``representation`` per distinct raw tuple: layers that share one (a
 state's layers past its depth do) differ only in √p exponent, so the
-first result is shifted for the rest.  ``fock_create``/``fock_annihilate``
-append / strip the LAST letter (top digit; the left action).  The sums
-over that letter are layer moves: ``create_sum`` lifts a layer one
-length as is, and ``annihilate_sum`` sums out the top digit.
-``fock_create`` alone tiles a layer to full depth.  A layer that
-creation would move past the truncation is dropped, and its words are
-counted once in ``spilled``: data, not errors.
+first result is shifted for the rest.  The left action enters only
+summed over the LAST letter (top digit), which is a layer move:
+``create_sum`` lifts a layer one length as is, and ``annihilate_sum``
+sums out the top digit.  A layer that creation would move past the
+truncation is dropped, and its words are counted once in ``spilled``:
+data, not errors.
 """
 
 from __future__ import annotations
@@ -78,16 +77,6 @@ class FockVector:
     @classmethod
     def zero(cls, p: int, truncation: int | None = None) -> "FockVector":
         return cls(p, {}, truncation)
-
-    @classmethod
-    def vacuum(cls, p: int, truncation: int | None = None) -> "FockVector":
-        """Ω: the empty word with coefficient 1."""
-        return cls.basis(p, (), truncation)
-
-    @classmethod
-    def basis(cls, p: int, word: Word,
-              truncation: int | None = None) -> "FockVector":
-        return cls(p, {tuple(word): (0, Scalar.one(p))}, truncation)
 
     @property
     def terms(self) -> dict[Word, tuple[int, Scalar]]:
@@ -224,32 +213,6 @@ def _annihilate(v: FockVector, layer, letters=1) -> FockVector:
     return v._with(out, letters)
 
 
-def fock_create(i: int, v: FockVector) -> FockVector:
-    """A†_i: append i as the last letter: the layer at full depth k goes
-    to block i of the depth-(k+1) layer."""
-    check_letter(i, v.p)
-    zero = (Scalar.zero(v.p),)
-
-    def layer(k, f):
-        block = _check_cap(v.p, k + 1) // v.p
-        return StepFunction._raw(v.p, k + 1, zero * (i * block)
-                                 + f.raw * (block // len(f.raw))
-                                 + zero * ((v.p - 1 - i) * block), f.exp)
-    return _create(v, layer)
-
-
-def fock_annihilate(i: int, v: FockVector) -> FockVector:
-    """A_i: keep words whose last letter is i, stripped; Ω goes to 0.  A
-    layer shallower than its length does not read that letter."""
-    check_letter(i, v.p)
-
-    def layer(k, f):
-        block = v.p ** (k - 1)
-        return f if f.depth < k else StepFunction._raw(
-            v.p, k - 1, f.raw[i * block:(i + 1) * block], f.exp)
-    return _annihilate(v, layer)
-
-
 def af_create(i: int, v: FockVector) -> FockVector:
     """Right multiplication by A†_i: prepend i as the first letter."""
     return _af_create_word((i,), v)
@@ -299,21 +262,3 @@ def annihilate_sum(v: FockVector) -> FockVector:
                        else StepFunction._raw(v.p, k - 1, f.coset_sums(k - 1),
                                               f.exp))
 
-
-def fock_inner(v: FockVector, w: FockVector) -> dict[int, Scalar]:
-    """⟨v, w⟩ = Σ_I conj(v_I)·w_I as a λ-polynomial {exponent: Scalar}:
-    each length contributes its own exponent, so the parts merge."""
-    return {n: c for coeffs in fock_inner_by_length(v, w).values()
-            for n, c in coeffs.items()}
-
-
-def fock_inner_by_length(v: FockVector,
-                         w: FockVector) -> dict[int, dict[int, Scalar]]:
-    """Per-length contributions {length: {exponent: Scalar}} to ⟨v, w⟩,
-    zeros left out: the p^k length-k words give p^k times the layers'
-    normalized L² pairing, at the one exponent 2k + v.shift + w.shift."""
-    if v.p != w.p:
-        raise ValueError("mixed primes in Fock inner product")
-    return {k: {2 * k + v.shift + w.shift: c} for k, f in v.layers.items()
-            if k in w.layers
-            and (c := f.inner(w.layers[k]).mul_root_p_power(2 * k))}

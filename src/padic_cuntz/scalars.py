@@ -190,10 +190,6 @@ class Scalar:
         return cls._raw(p, n, 0, 0, 0, m)
 
     @classmethod
-    def root_p(cls, p: int) -> "Scalar":
-        return cls._raw(p, 0, 1, 0, 0, 1)
-
-    @classmethod
     def root_p_power(cls, p: int, n: int) -> "Scalar":
         """p^(n/2) as an exact scalar: p^(n//2) for even n, ·√p extra for odd."""
         k, odd = divmod(n, 2)
@@ -305,34 +301,6 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         return Scalar._raw(self.p, self.a, self.b, -self.c, -self.d, self.q)
 
-    def inverse(self) -> "Scalar":
-        a, b, c, d, q = self.a, self.b, self.c, self.d, self.q
-        if not (a or b or c or d):
-            raise ZeroDivisionError("inverse of zero scalar")
-        p = self.p
-        # z·conj(z) = (na + nb·√p)/q², inverted in Q(√p) through
-        # (na − nb·√p)/den with den = na² − p·nb² ≠ 0 (√p is irrational)
-        na = a * a + p * b * b + c * c + p * d * d
-        nb = 2 * (a * b + c * d)
-        den = na * na - p * nb * nb
-        if den < 0:
-            q, den = -q, -den
-        # 1/z = q·conj(a + b√p + i(c + d√p))·(na − nb√p)/den
-        return Scalar._reduced(p, q * (a * na - p * b * nb),
-                               q * (b * na - a * nb),
-                               -q * (c * na - p * d * nb),
-                               -q * (d * na - c * nb), den)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     # -- order structure on the real part ------------------------------
 
     def real_sign(self) -> int:
@@ -419,8 +387,11 @@ class Scalar:
 
     @classmethod
     def from_json(cls, p: int, data) -> "Scalar":
-        if len(data) != 4:
-            raise ValueError("scalar JSON must have four rational components")
+        """Four rational components, each a 'num/den' string or an int."""
+        if type(data) is not list or len(data) != 4 or any(
+                type(x) not in (str, int) for x in data):
+            raise ValueError("scalar JSON must be a list of four rational "
+                             "components, each a string or an integer")
         return cls(p, *data)
 
 

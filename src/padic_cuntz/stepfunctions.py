@@ -254,8 +254,9 @@ class StepFunction:
     def from_json(cls, data: dict) -> "StepFunction":
         p = validate_prime(data["p"])
         depth = data["depth"]
-        values = [Scalar.from_json(p, v) for v in data["values"]]
-        return cls(p, depth, values)
+        if type(data["values"]) is not list:
+            raise ValueError("step function JSON values must be a list")
+        return cls(p, depth, [Scalar.from_json(p, v) for v in data["values"]])
 
 
 def indicator(p: int, digits) -> StepFunction:

@@ -264,7 +264,10 @@ def test_apply_input_missing_depth(tmp_path, capsys):
             (1.0, [["1/1", "0/1", "0/1", "0/1"]] * 2, "got 1.0"),
             (-1, [], "got -1"),
             (True, [["1/1", "0/1", "0/1", "0/1"]] * 2, "got True"),
-            (0, [["1/0", "0/1", "0/1", "0/1"]], "ZeroDivisionError")]:
+            (0, [["1/0", "0/1", "0/1", "0/1"]], "ZeroDivisionError"),
+            (0, ["1234"], "list of four rational components"),
+            (0, {"1234": 0}, "values must be a list"),
+            (0, [[True, "0", "0", "0"]], "list of four rational components")]:
         bad.write_text(json.dumps({"p": 2, "depth": depth, "values": values}))
         code, out, err = run(capsys, "apply", "--p", "2", "--ops", "a0*",
                              "--input", str(bad))
@@ -397,7 +400,8 @@ def test_af_bridge_create_fails_on_a_boundary_residual(monkeypatch):
 
     def residual(i, s, N):
         assert N == trunc
-        return FockVector.basis(s.p, (0,) * N), FockVector.zero(s.p)
+        return (FockVector(s.p, {(0,) * N: (0, Scalar.one(s.p))}),
+                FockVector.zero(s.p))
 
     monkeypatch.setattr(suites, "af_relation_residual", residual)
     report = suites.suite_af(2, maxlen=1, trunc=trunc, cases=3)

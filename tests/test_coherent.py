@@ -11,7 +11,7 @@ from padic_cuntz import (CapExceededError, CoherentState,
                          af_relation_residual, af_state_value,
                          apply_annihilation, apply_creation,
                          build_X_truncated, eigen_residual,
-                         fock_inner_by_length, gram_matrices, indicator,
+                         gram_matrices, indicator,
                          indicator_state, l2_inner, leibnitz_residuals,
                          pairing_series, phi_map, renormalized_pairing,
                          t_dagger, t_dagger_fock, t_op, t_op_fock,
@@ -19,6 +19,7 @@ from padic_cuntz import (CapExceededError, CoherentState,
 from padic_cuntz import stepfunctions
 from padic_cuntz.suites import (random_coherent_state, random_step_function,
                                 run_suites)
+from test_fock import ref_inner_by_length, ref_terms
 
 
 def test_coefficient_examples():
@@ -183,16 +184,17 @@ def test_pairing_equals_l2_and_stabilization_bound():
 
 
 def test_pairing_series_matches_the_fock_inner_product():
-    # the layer route against the λ-polynomial inner product of the two
-    # truncated expansions, each length evaluated at λ = √p
+    # the layer route against the word reference's λ-polynomial inner
+    # product of the two truncated expansions, each length at λ = √p
     rng = random.Random(36)
     for p in (2, 3, 5):
         for _ in range(8):
             a = random_coherent_state(rng, p)
             b = random_coherent_state(rng, p)
             kmax = max(a.depth, b.depth) + 2
-            by_len = fock_inner_by_length(to_fock_truncated(a, kmax),
-                                          to_fock_truncated(b, kmax))
+            by_len = ref_inner_by_length(
+                ref_terms(to_fock_truncated(a, kmax)),
+                ref_terms(to_fock_truncated(b, kmax)))
             terms = pairing_series(a, b).terms
             assert len(terms) == kmax + 1
             for k in range(kmax + 1):
@@ -243,7 +245,8 @@ def test_t_op_examples():
     assert t_op(1, x0).is_zero()
     x01 = indicator_state(2, (0, 1))
     assert t_op(0, x01) == CoherentState(
-        indicator_state(2, (1,)).generator.scale(Scalar.root_p(2)))
+        indicator_state(2, (1,)).generator.scale(
+            Scalar.root_p_power(2, 1)))
     # coefficient contract Ψ'_I = √p·Ψ_{iI}
     rng = random.Random(38)
     s = random_coherent_state(rng, 3)
@@ -316,8 +319,8 @@ def test_af_state_value_refuses_a_truncation_that_is_no_count(N):
 
 
 def test_af_state_value_matches_the_fock_inner_product():
-    # the layer route against the λ-polynomial inner product ⟨1̂, v⟩ with
-    # v = AF(A†_I A_J)1̂, each length evaluated at λ = √p
+    # the layer route against the word reference's λ-polynomial inner
+    # product ⟨1̂, v⟩ with v = AF(A†_I A_J)1̂, each length at λ = √p
     for p, longest in ((2, 2), (3, 2), (5, 1)):
         for I in words_up_to(p, longest):
             for J in words_up_to(p, longest):
@@ -327,7 +330,8 @@ def test_af_state_value_matches_the_fock_inner_product():
                     v = af_annihilate(j, v)
                 for i in I:
                     v = af_create(i, v)
-                by_len = fock_inner_by_length(one_hat, v)
+                by_len = ref_inner_by_length(ref_terms(one_hat),
+                                             ref_terms(v))
                 terms = [Scalar.sum(p, [c.mul_root_p_power(n)
                                         for n, c in by_len.get(k, {}).items()])
                          for k in range(max(by_len) + 1)]
@@ -431,9 +435,10 @@ def test_expansion_cap_follows_what_is_built():
     boundary = -Scalar.rational(2, Q(1, 2 ** 30))
     assert r.support_lengths() == {30}
     assert r.coefficient((1, 0) * 15) == (31, boundary)
-    parts = fock_inner_by_length(v, v)
-    assert parts == {k: {2 * k: Scalar.rational(2, Q(1, 2 ** k))}
-                     for k in range(31)}
+    # ⟨v, v⟩ per length, from the layers: p^k words of value 2^-k each
+    assert {k: f.inner(f).mul_root_p_power(2 * k)
+            for k, f in v.layers.items()} == {
+        k: Scalar.rational(2, Q(1, 2 ** k)) for k in range(31)}
     with pytest.raises(CapExceededError):
         v.to_json()
     with pytest.raises(CapExceededError):

@@ -1,4 +1,5 @@
-"""Free Fock space: ladder pairs on both word ends, inner product, spill."""
+"""Free Fock space: the right ladder pair, the summed left pair and the
+spill, each against a word-keyed reference."""
 
 import random
 
@@ -7,9 +8,8 @@ import pytest
 from padic_cuntz import (FockVector, InvalidLetterError, Q, Scalar,
                          SelfCheckError, StepFunction, af_annihilate,
                          af_create, annihilate_sum, create_sum,
-                         fock_annihilate, fock_create, fock_inner,
-                         fock_inner_by_length, to_fock_truncated, word_str,
-                         words_of_length, words_up_to)
+                         to_fock_truncated, word_str, words_of_length,
+                         words_up_to)
 from padic_cuntz.suites import random_coherent_state, random_scalar
 
 
@@ -26,69 +26,32 @@ def random_vector(rng, p, max_len=3, trunc=None):
                           for w in words}, truncation=trunc)
 
 
-def poly_add(a, b):
-    """Sum of two λ-polynomials {exponent: Scalar}, zeros dropped."""
-    out = dict(a)
-    for n, c in b.items():
-        out[n] = out[n] + c if n in out else c
-    return {n: c for n, c in out.items() if not c.is_zero()}
-
-
-def poly_mul(a, b):
-    out = {}
-    for n1, c1 in a.items():
-        for n2, c2 in b.items():
-            out = poly_add(out, {n1 + n2: c1 * c2})
-    return out
-
-
-def split_by_power(p, spec):
-    """One-shift vectors, one per n − |w|, summing to the vector whose word
-    coefficients are the polynomials spec {word: {n: c}}."""
-    by_shift = {}
-    for w, poly in spec.items():
-        for n, c in poly.items():
-            by_shift.setdefault(n - len(w), {})[w] = (n, c)
-    return [FockVector(p, terms) for terms in by_shift.values()]
-
-
-def inner_by_length_of_sums(vs, ws):
-    """⟨Σ vs, Σ ws⟩ per word length: the inner product is bilinear, so it
-    is the sum of fock_inner_by_length over all pairs."""
-    out = {}
-    for v in vs:
-        for w in ws:
-            for k, poly in fock_inner_by_length(v, w).items():
-                out[k] = poly_add(out.get(k, {}), poly)
-    return out
-
-
 def test_create_examples():
-    omega = FockVector.vacuum(2)
-    v = fock_create(0, omega)
-    assert v.terms == {(0,): one_term(2)}
-    w = fock_create(1, v)
-    assert w.terms == {(0, 1): one_term(2)}
+    # Σ_i A†_i appends each last letter; each word keeps its λ power
+    omega = FockVector(2, {(): one_term(2)})
+    v = create_sum(omega)
+    assert v.terms == {(0,): one_term(2), (1,): one_term(2)}
+    assert create_sum(v).terms == {w: one_term(2)
+                                   for w in words_of_length(2, 2)}
     c = Scalar(2, 0, 1)  # √2
-    scaled = fock_create(1, omega.scale(c))
-    assert scaled.coefficient((1,)) == (0, c)
-    assert scaled.coefficient((0,)) == (0, Scalar.zero(2))
+    assert create_sum(omega.scale(c)).coefficient((1,)) == (0, c)
 
 
 def test_annihilate_examples():
-    omega = FockVector.vacuum(2)
-    assert fock_annihilate(0, omega).is_zero()
-    v = FockVector.basis(2, (0, 1))
-    assert fock_annihilate(1, v).terms == {(0,): one_term(2)}
-    assert fock_annihilate(0, v).is_zero()
+    # Σ_i A_i strips the last letter; words that merge add
+    assert annihilate_sum(FockVector(2, {(): one_term(2)})).is_zero()
+    v = FockVector(2, {(0, 1): one_term(2)})
+    assert annihilate_sum(v).terms == {(0,): one_term(2)}
+    w = FockVector(2, {(0, 1): one_term(2), (0, 0): one_term(2)})
+    assert annihilate_sum(w).terms == {(0,): (0, Scalar.rational(2, 2))}
 
 
 def test_af_examples():
-    omega = FockVector.vacuum(2)
+    omega = FockVector(2, {(): one_term(2)})
     assert af_create(0, omega).terms == {(0,): one_term(2)}
-    v = af_create(1, FockVector.basis(2, (0,)))
+    v = af_create(1, FockVector(2, {(0,): one_term(2)}))
     assert v.terms == {(1, 0): one_term(2)}
-    w = FockVector.basis(2, (0, 1))
+    w = FockVector(2, {(0, 1): one_term(2)})
     assert af_annihilate(0, w).terms == {(1,): one_term(2)}
     assert af_annihilate(1, w).is_zero()
     assert af_annihilate(0, omega).is_zero()
@@ -96,47 +59,27 @@ def test_af_examples():
 
 def test_a_bool_letter_has_no_coefficient():
     # True == 1, but a bool is not a letter: the word (True,) is absent
-    v = FockVector.basis(2, (1,))
+    v = FockVector(2, {(1,): one_term(2)})
     assert v.coefficient((1,)) == (0, Scalar.one(2))
     for word in ((True,), (False,), (1.0,)):
         assert v.coefficient(word) == (0, Scalar.zero(2))
 
 
 def test_invalid_letters():
-    omega = FockVector.vacuum(2)
-    for op in (fock_create, fock_annihilate, af_create, af_annihilate):
+    omega = FockVector(2, {(): one_term(2)})
+    for op in (af_create, af_annihilate):
         for bad in (2, True):   # a bool is not a letter
             with pytest.raises(InvalidLetterError):
                 op(bad, omega)
 
 
-def test_inner_examples():
-    e0 = FockVector.basis(2, (0,))
-    e1 = FockVector.basis(2, (1,))
-    assert fock_inner(e0, e0) == {0: Scalar.one(2)}
-    assert fock_inner(e0, e1) == {}
-    v = FockVector.vacuum(2).shift_lambda(1)
-    assert fock_inner(v, v) == {2: Scalar.one(2)}
-
-
-def test_inner_conjugates_first_slot():
-    i = Scalar(3, 0, 0, 1, 0)
-    v = FockVector.vacuum(3).scale(i)
-    w = FockVector.vacuum(3)
-    assert fock_inner(v, w) == {0: -i}
-    assert fock_inner(w, v) == {0: i}
-
-
 def test_delta_relation_random():
+    # Σ_i A_i · Σ_j A†_j = Σ_{i,j} δ_ij = p
     rng = random.Random(11)
     for p in (2, 3):
         for _ in range(25):
             v = random_vector(rng, p)
-            for j in range(p):
-                created = fock_create(j, v)
-                for i in range(p):
-                    out = fock_annihilate(i, created)
-                    assert out == (v if i == j else FockVector.zero(p))
+            assert annihilate_sum(create_sum(v)) == v.mul_root_p_power(2)
 
 
 def test_af_delta_relation_random():
@@ -156,15 +99,19 @@ def test_number_identity_off_vacuum():
     for p in (2, 3):
         for _ in range(20):
             v = random_vector(rng, p)
-            total = FockVector.zero(p)
-            for i in range(p):
-                total = total + fock_create(i, fock_annihilate(i, v))
             vac = FockVector(p, {(): v.coefficient(())})
-            assert total == v - vac
             total = FockVector.zero(p)
             for i in range(p):
                 total = total + af_create(i, af_annihilate(i, v))
             assert total == v - vac
+
+
+def inner(v, w):
+    """⟨v, w⟩ as {λ exponent: Scalar} through the word reference: a
+    one-shift vector's lengths each have their own exponent."""
+    return {n: c for coeffs in ref_inner_by_length(ref_terms(v),
+                                                   ref_terms(w)).values()
+            for n, c in coeffs.items()}
 
 
 def test_adjointness_below_truncation():
@@ -173,11 +120,10 @@ def test_adjointness_below_truncation():
         for _ in range(20):
             v = random_vector(rng, p, max_len=3)
             w = random_vector(rng, p, max_len=3)
+            assert inner(create_sum(v), w) == inner(v, annihilate_sum(w))
             for i in range(p):
-                assert fock_inner(fock_create(i, v), w) == \
-                    fock_inner(v, fock_annihilate(i, w))
-                assert fock_inner(af_create(i, v), w) == \
-                    fock_inner(v, af_annihilate(i, w))
+                assert inner(af_create(i, v), w) == \
+                    inner(v, af_annihilate(i, w))
 
 
 def test_left_right_commute():
@@ -186,52 +132,39 @@ def test_left_right_commute():
         for _ in range(15):
             v = random_vector(rng, p)
             for i in range(p):
-                for j in range(p):
-                    assert af_create(i, fock_create(j, v)) == \
-                        fock_create(j, af_create(i, v))
+                assert af_create(i, create_sum(v)) == \
+                    create_sum(af_create(i, v))
             # mixed pairs agree on words of length ≥ 1
             body = v.restrict_lengths(lo=1)
             for i in range(p):
-                for j in range(p):
-                    assert fock_annihilate(j, af_create(i, body)) == \
-                        af_create(i, fock_annihilate(j, body))
-                    assert af_annihilate(i, fock_create(j, body)) == \
-                        fock_create(j, af_annihilate(i, body))
+                assert annihilate_sum(af_create(i, body)) == \
+                    af_create(i, annihilate_sum(body))
+                assert af_annihilate(i, create_sum(body)) == \
+                    create_sum(af_annihilate(i, body))
 
 
 def test_annihilate_sum_matches_componentwise():
+    # Σ_i A_i against the word reference's A_i, one last letter at a time
     rng = random.Random(16)
     for p in (2, 3):
         v = random_vector(rng, p)
-        total = FockVector.zero(p)
-        for i in range(p):
-            total = total + fock_annihilate(i, v)
-        assert annihilate_sum(v) == total
+        tv = ref_terms(v)
+        assert ref_terms(annihilate_sum(v)) == ref_sum(
+            [(w, n, c) for i in range(p)
+             for w, (n, c) in ref_annihilate(tv, i, False).items()])
 
 
 def test_truncation_spill_tally():
-    v = FockVector.basis(2, (0, 1), truncation=2)
-    kept = fock_create(0, v)
+    v = FockVector(2, {(0, 1): one_term(2)}, truncation=2)
+    kept = af_create(0, v)
     assert kept.is_zero()
     assert kept.spilled == 1
-    again = af_create(1, fock_create(0, FockVector.basis(2, (0,),
-                                                         truncation=2)))
+    again = af_create(1, af_create(0, FockVector(2, {(0,): one_term(2)},
+                                                 truncation=2)))
     assert again.spilled == 1
     assert again.terms == {}  # second creation spilled the lone word
     # spill is bookkeeping: equality looks at terms only
     assert kept == FockVector.zero(2)
-
-
-def test_inner_by_length_partitions_inner():
-    rng = random.Random(17)
-    for p in (2, 3):
-        v = random_vector(rng, p)
-        w = random_vector(rng, p)
-        parts = fock_inner_by_length(v, w)
-        total = {}
-        for poly in parts.values():
-            total = poly_add(total, poly)
-        assert total == fock_inner(v, w)
 
 
 def test_lambda_monomials():
@@ -244,13 +177,7 @@ def test_lambda_monomials():
     assert v.shift_lambda(2).shift_lambda(-2) == v
     with pytest.raises(ValueError):
         v.shift_lambda(-1)
-    # fock_inner conjugates the first slot's scalar, never λ
-    i = Scalar(2, 0, 0, 1, 0)
-    lam_i = FockVector(2, {(1,): (1, i)})
-    lam = FockVector.basis(2, (1,)).shift_lambda(1)
-    assert fock_inner(lam_i, lam) == {2: -i}
-    assert fock_inner(lam, lam_i) == {2: i}
-    assert fock_inner(lam_i, lam_i) == {2: one}
+    lam_i = FockVector(2, {(1,): (1, Scalar(2, 0, 0, 1, 0))})
     # exponents are nonnegative integers, and True is not one
     for bad in (-1, 1.0, "1", True):
         with pytest.raises(ValueError):
@@ -260,7 +187,7 @@ def test_lambda_monomials():
     with pytest.raises(ValueError, match="differ"):
         FockVector(2, {(0, 0): (1, one), (0, 1): (2, one)})
     # shift_lambda moves the shift, and a negative one keeps exponents ≥ 0
-    created = af_create(1, FockVector.vacuum(2))   # λ^0 at length 1
+    created = af_create(1, FockVector(2, {(): (0, one)}))  # λ^0, length 1
     assert created.shift == -1
     assert created.shift_lambda(2).coefficient((1,)) == (2, one)
     with pytest.raises(ValueError):
@@ -284,7 +211,7 @@ def test_json_round_trip():
     data = v.to_json()
     assert list(data["terms"]) == sorted(data["terms"],
                                          key=lambda w: (len(w), w))
-    lam = FockVector.basis(2, (1, 0)).shift_lambda(3)
+    lam = FockVector(2, {(1, 0): one_term(2)}).shift_lambda(3)
     assert lam.to_json() == {
         "p": 2, "terms": {"10": {"3": ["1/1", "0/1", "0/1", "0/1"]}}}
 
@@ -298,64 +225,6 @@ def test_json_keys_for_two_digit_letters(p):
     data = v.to_json()
     assert list(data["terms"]) == ["10", "1.0", f"{p - 1}.0.1"]
     assert data == ref_json(p, ref_terms(v))
-
-
-def test_inner_by_length_multi_power_coefficients():
-    # the vectors with these polynomial coefficients are sums of
-    # one-shift vectors, and the inner product is bilinear
-    one = Scalar.one(2)
-    two = Scalar.rational(2, 2)
-    v = split_by_power(2, {(0,): {0: one, 1: one}, (0, 1): {2: two}})
-    w = split_by_power(2, {(0,): {1: one, 2: two}, (0, 1): {0: one, 3: -one},
-                           (1,): {0: one}})
-    parts = inner_by_length_of_sums(v, w)
-    # (1 + λ)(λ + 2λ²) and 2λ²(1 − λ³)
-    assert parts == {1: {1: one, 2: Scalar.rational(2, 3), 3: two},
-                     2: {2: two, 5: -two}}
-    total = {}
-    for a in v:
-        for b in w:
-            total = poly_add(total, fock_inner(a, b))
-    assert total == poly_add(parts[1], parts[2])
-    # contributions that cancel leave nothing at that power
-    cancel = split_by_power(2, {(0,): {0: one, 1: -one}})
-    flat = split_by_power(2, {(0,): {0: one, 1: one}})
-    assert inner_by_length_of_sums(cancel, flat) == {1: {0: one, 2: -one}}
-    assert inner_by_length_of_sums(
-        cancel, [c.scale(Scalar.zero(2)) for c in cancel]) == {}
-
-
-def test_inner_by_length_matches_polynomial_products():
-    # coefficients drawn from a small pool, so words share objects the way
-    # expansions and ladder operators share them
-    rng = random.Random(19)
-    for p in (2, 3):
-        for _ in range(10):
-            pool = [{n: c for n in rng.sample(range(4), 2)
-                     if not (c := random_scalar(rng, p)).is_zero()}
-                    for _ in range(3)]
-            specs = [{
-                tuple(rng.randrange(p) for _ in range(rng.randint(0, 2))):
-                rng.choice(pool) for _ in range(8)} for _ in range(2)]
-            v, w = ({word: poly for word, poly in spec.items() if poly}
-                    for spec in specs)
-            expected = {}
-            for word, poly in v.items():
-                if word in w:
-                    conj = {n: c.conjugate() for n, c in poly.items()}
-                    k = len(word)
-                    expected[k] = poly_add(expected.get(k, {}),
-                                           poly_mul(conj, w[word]))
-            pieces_v, pieces_w = split_by_power(p, v), split_by_power(p, w)
-            assert inner_by_length_of_sums(pieces_v, pieces_w) == expected
-            total = {}
-            for poly in expected.values():
-                total = poly_add(total, poly)
-            pair_sum = {}
-            for a in pieces_v:
-                for b in pieces_w:
-                    pair_sum = poly_add(pair_sum, fock_inner(a, b))
-            assert pair_sum == total
 
 
 # -- the layers against a word-keyed reference --------------------------------
@@ -465,14 +334,10 @@ def random_layered(rng, p, max_len=4, trunc=None):
 
 
 def check_create_sum(v, tv):
-    """create_sum against the word reference and against Σ_i fock_create."""
+    """create_sum against the word reference, spill included."""
     out = create_sum(v)
     want, spill = ref_create_sum(tv, v.truncation, v.p)
     assert ref_terms(out) == want and out.spilled == spill
-    total = FockVector.zero(v.p, v.truncation)
-    for i in range(v.p):
-        total = total + fock_create(i, v)
-    assert out == total and out.spilled == total.spilled
 
 
 def agree(layered, reference):
@@ -504,18 +369,14 @@ def test_layered_operators_match_the_word_reference(p):
         assert v.to_json() == ref_json(p, tv)
         assert FockVector(p, tv) == v
         assert (v == w) == (tv == tw)
-        # both ladder pairs, with the spill at the truncation
+        # the antifock pair, with the spill at the truncation
         for i in range(p):
-            for op, first in ((af_create, True), (fock_create, False)):
-                out = op(i, v)
-                want, spill = ref_create(
-                    tv, trunc,
-                    (lambda x: (i,) + x) if first else (lambda x: x + (i,)))
-                assert ref_terms(out) == want
-                assert out.spilled == spill
-            for op, first in ((af_annihilate, True),
-                              (fock_annihilate, False)):
-                assert ref_terms(op(i, v)) == ref_annihilate(tv, i, first)
+            out = af_create(i, v)
+            want, spill = ref_create(tv, trunc, lambda x: (i,) + x)
+            assert ref_terms(out) == want
+            assert out.spilled == spill
+            assert ref_terms(af_annihilate(i, v)) == \
+                ref_annihilate(tv, i, True)
         check_create_sum(v, tv)
         # linear structure
         for sign, op in ((1, lambda a, b: a + b), (-1, lambda a, b: a - b)):
@@ -532,11 +393,9 @@ def test_layered_operators_match_the_word_reference(p):
             word: (n + 2, x) for word, (n, x) in tv.items()}
         assert ref_terms(v.mul_root_p_power(3)) == {
             word: (n, x.mul_root_p_power(3)) for word, (n, x) in tv.items()}
-        # cancellation to zero, and the inner product per length
+        # cancellation to zero
         assert (v - v).is_zero() and ref_terms(v - v) == {}
         assert (v - FockVector(p, tv)).is_zero()
-        assert fock_inner_by_length(v, w) == ref_inner_by_length(tv, tw)
-        assert fock_inner_by_length(v, v) == ref_inner_by_length(tv, tv)
     assert raised  # the two-shifts check was reached at random too
 
 
@@ -558,8 +417,6 @@ def test_expansion_layers_match_the_word_reference(p):
             assert ref_terms(out) == want and out.spilled == spill
             assert ref_terms(af_annihilate(i, v)) == \
                 ref_annihilate(tv, i, True)
-            assert ref_terms(fock_annihilate(i, v)) == \
-                ref_annihilate(tv, i, False)
 
 
 def test_two_shifts_raise_unless_a_side_is_zero():

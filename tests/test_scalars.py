@@ -53,7 +53,7 @@ def test_primality_of_large_numbers():
 
 def test_root_p_square_reduces():
     for p in (2, 3, 5, 7):
-        r = Scalar.root_p(p)
+        r = Scalar.root_p_power(p, 1)
         assert r * r == Scalar.rational(p, p)
 
 
@@ -73,15 +73,6 @@ def test_conjugation_fixes_real_part():
     assert c.conjugate() == s
 
 
-def test_division_round_trip():
-    a = Scalar(3, 1, 2, -1, Fraction(1, 3))
-    b = Scalar(3, Fraction(2, 7), -1, 4, 0)
-    assert (a / b) * b == a
-    assert a * a.inverse() == Scalar.one(3)
-    with pytest.raises(ZeroDivisionError):
-        Scalar.zero(3).inverse()
-
-
 def test_mixed_prime_rejected():
     with pytest.raises(ValueError):
         Scalar.one(2) + Scalar.one(3)
@@ -94,7 +85,7 @@ def test_real_sign_exact():
     assert Scalar(2, -3, 2).real_sign() == -1
     assert Scalar(2, -2, 2).real_sign() == 1
     assert Scalar.zero(2).real_sign() == 0
-    assert Scalar.root_p(7).real_sign() == 1
+    assert Scalar.root_p_power(7, 1).real_sign() == 1
     with pytest.raises(ValueError):
         Scalar(2, 0, 0, 1, 0).real_sign()
 
@@ -141,10 +132,8 @@ def test_conjugation_is_multiplicative(data, p):
 
 @settings(deadline=None)
 @given(st.data(), primes)
-def test_inverse_and_norm(data, p):
+def test_norm_is_real_and_nonnegative(data, p):
     a = data.draw(scalars(p))
-    if not a.is_zero():
-        assert a * a.inverse() == Scalar.one(p)
     n = a * a.conjugate()
     assert n.is_real()
     assert n.real_sign() >= 0
@@ -165,7 +154,7 @@ def test_rational_coercions():
     assert len({Scalar.rational(3, 2), 2, Fraction(2)}) == 1
     assert Scalar.one(2) == 1
     assert Scalar.one(2) + 1 == Scalar.rational(2, 2)
-    assert 2 * Scalar.root_p(2) == Scalar(2, 0, 2)
+    assert 2 * Scalar.root_p_power(2, 1) == Scalar(2, 0, 2)
 
 
 # -- the kernel against an independent 4-tuple-of-Fraction reference -----------
@@ -186,15 +175,6 @@ def ref_mul(p, x, y):
     m = (a1 * c2 + p * b1 * d2 + c1 * a2 + p * d1 * b2,
          a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
     return r + m
-
-
-def ref_inverse(p, x):
-    a, b, c, d = x
-    # 1/z = conj(z)/|z|², |z|² = u + v√p, 1/(u + v√p) = (u − v√p)/(u² − pv²)
-    u = a * a + p * b * b + c * c + p * d * d
-    v = 2 * (a * b + c * d)
-    den = u * u - p * v * v
-    return ref_mul(p, (a, b, -c, -d), (u / den, -v / den, Q(0), Q(0)))
 
 
 def ref_mul_root_p_power(p, x, n):
@@ -226,11 +206,6 @@ def test_kernel_matches_fraction_reference(data, p, n, r):
     assert agrees(p, x.mul_root_p_power(n), ref_mul_root_p_power(p, rx, n))
     assert agrees(p, Scalar.root_p_power(p, n),
                   ref_mul_root_p_power(p, (Q(1), Q(0), Q(0), Q(0)), n))
-    if not y.is_zero():
-        assert agrees(p, y.inverse(), ref_inverse(p, ry))
-        assert agrees(p, x / y, ref_mul(p, rx, ref_inverse(p, ry)))
-    if r:
-        assert agrees(p, x / r, tuple(u / r for u in rx))
 
 
 @settings(deadline=None)
@@ -241,8 +216,6 @@ def test_canonical_form(data, p):
     routes = [(x + y) - y, (x * y + x) - x * y, x.mul_root_p_power(3)
               .mul_root_p_power(-3), Scalar.from_json(p, x.to_json()),
               Scalar(p, *ref_of(x))]
-    if not y.is_zero():
-        routes.append((x * y) / y)
     for z in routes:
         assert z == x
         assert hash(z) == hash(x)
@@ -320,7 +293,7 @@ def test_reductions_of_nothing_and_of_zeros_are_zero():
         for total in (Scalar.sum(p, []), Scalar.dot(p, [], []),
                       Scalar.sum(p, [made, Scalar.zero(p)]),
                       Scalar.dot(p, [made, Scalar.one(p)],
-                                 [Scalar.root_p(p), made])):
+                                 [Scalar.root_p_power(p, 1), made])):
             assert total == Scalar.zero(p) and total.to_json() == ["0/1"] * 4
             assert hash(total) == hash(0)
 

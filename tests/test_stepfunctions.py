@@ -172,8 +172,8 @@ def test_semantic_equality_across_depths(monkeypatch):
     one = StepFunction.constant(2, 1)
     root = apply_creation(0, one) + apply_creation(1, one)
     assert (root.depth, root.exp) == (1, 1)
-    assert root == StepFunction.constant(2, Scalar.root_p(2))
-    assert StepFunction.constant(2, Scalar.root_p(2)) == root
+    assert root == StepFunction.constant(2, Scalar.root_p_power(2, 1))
+    assert StepFunction.constant(2, Scalar.root_p_power(2, 1)) == root
     assert root != StepFunction.constant(2, 1)
     # one value off in the last fibre
     rng = random.Random(29)
@@ -189,7 +189,8 @@ def test_arithmetic_and_scaling():
     g = indicator(2, [1])
     assert f + g == StepFunction.constant(2, 1)
     assert (f - f).is_zero()
-    assert f.scale(Scalar.root_p(2)).values[0] == Scalar.root_p(2)
+    root = Scalar.root_p_power(2, 1)
+    assert f.scale(root).values[0] == root
     assert (2 * f).values[0] == Scalar.rational(2, 2)
     assert (-f).values[0] == Scalar.rational(2, -1)
 

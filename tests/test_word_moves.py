@@ -12,8 +12,8 @@ from padic_cuntz import (CoherentState, FockVector, NotStabilizedError,
                          StepFunction, af_annihilate, af_create,
                          af_state_value, annihilate_sum, apply_annihilation,
                          apply_creation, apply_operator_word, create_sum,
-                         creation_chain, fock_annihilate, fock_create,
-                         pairing_series, to_fock_truncated)
+                         creation_chain, pairing_series,
+                         to_fock_truncated)
 from padic_cuntz import coherent
 from padic_cuntz.coherent import _series
 from padic_cuntz.fock import _af_annihilate_word, _af_create_word
@@ -156,12 +156,10 @@ def test_layer_sharing_does_not_show_in_fock_moves(data, p):
     v = to_fock_truncated(s, data.draw(st.integers(0, 6)))
     w = fresh(v)
     I, J = data.draw(words(p, 3)), data.draw(words(p, 3))
-    i = data.draw(st.integers(0, p - 1))
     moves = [lambda u: _af_create_word(I, u),
              lambda u: _af_annihilate_word(J, u),
              lambda u: _af_create_word(I, _af_annihilate_word(J, u)),
-             create_sum, annihilate_sum,
-             lambda u: fock_create(i, u), lambda u: fock_annihilate(i, u)]
+             create_sum, annihilate_sum]
     for move in moves:
         assert layers_of(move(v)) == layers_of(move(w))
 
